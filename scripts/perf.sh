@@ -45,7 +45,9 @@ done
 
 # Each binary emits one JSON object per measurement per line (a
 # binary may emit several — perf_interval reports the interval
-# backend and its cycle-level reference).  Every line is validated
+# backend and its cycle-level reference, perf_tracegen adds the
+# perf_tracegen_walk stream walk and its per-interval generate()
+# reference).  Every line is validated
 # as it arrives so a malformed measurement fails loudly, naming the
 # benchmark and the offending line, instead of shipping a bad
 # artifact.  The assembled file is written to a temp path and moved

@@ -105,6 +105,10 @@ ChipController::run(std::uint64_t max_instructions)
 
     std::vector<workload::TracePtr> trace_hold(n);
     std::vector<std::vector<isa::MicroOp>> trace_local(n);
+    std::vector<workload::Workload::Stream> streams;
+    streams.reserve(n);
+    for (const auto *wl : workloads_)
+        streams.emplace_back(*wl, 0);
     for (std::uint64_t i = 0; i < num_intervals; ++i) {
         std::vector<std::span<const isa::MicroOp>> traces(n);
         std::vector<std::span<const isa::MicroOp>> chip_traces(n);
@@ -118,8 +122,7 @@ ChipController::run(std::uint64_t max_instructions)
                     opt_.traceCache->get(wl, i * interval, interval);
                 traces[c] = *trace_hold[c];
             } else {
-                trace_local[c] =
-                    wl.generate(i * interval, interval);
+                trace_local[c] = streams[c].take(interval);
                 traces[c] = trace_local[c];
             }
 
@@ -252,6 +255,10 @@ runStaticChip(const std::vector<const workload::Workload *> &workloads,
         max_instructions / interval_length;
     std::vector<workload::TracePtr> trace_hold(n);
     std::vector<std::vector<isa::MicroOp>> trace_local(n);
+    std::vector<workload::Workload::Stream> streams;
+    streams.reserve(n);
+    for (const auto *wl : workloads)
+        streams.emplace_back(*wl, 0);
     for (std::uint64_t i = 0; i < num_intervals; ++i) {
         std::vector<std::span<const isa::MicroOp>> traces(n);
         for (std::size_t c = 0; c < n; ++c) {
@@ -261,8 +268,7 @@ runStaticChip(const std::vector<const workload::Workload *> &workloads,
                     wl, i * interval_length, interval_length);
                 traces[c] = *trace_hold[c];
             } else {
-                trace_local[c] = wl.generate(i * interval_length,
-                                             interval_length);
+                trace_local[c] = streams[c].take(interval_length);
                 traces[c] = trace_local[c];
             }
         }

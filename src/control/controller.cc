@@ -60,9 +60,11 @@ AdaptiveController::run(std::uint64_t max_instructions)
         profileBackend_.makeSession(profiling_cc, wrongPath_);
 
     // Interval traces come from the shared cache when one is
-    // configured (replayed comparison runs regenerate nothing).
+    // configured (replayed comparison runs regenerate nothing);
+    // otherwise one sequential stream walks the program.
     workload::TracePtr trace_hold;
     std::vector<isa::MicroOp> trace_local;
+    workload::Workload::Stream stream(wl_, 0);
     for (std::uint64_t i = 0; i < num_intervals; ++i) {
         std::span<const isa::MicroOp> trace;
         if (opt_.traceCache) {
@@ -70,7 +72,7 @@ AdaptiveController::run(std::uint64_t max_instructions)
                 opt_.traceCache->get(wl_, i * interval, interval);
             trace = *trace_hold;
         } else {
-            trace_local = wl_.generate(i * interval, interval);
+            trace_local = stream.take(interval);
             trace = trace_local;
         }
 
@@ -166,6 +168,7 @@ runStatic(const workload::Workload &wl,
         max_instructions / interval_length;
     workload::TracePtr trace_hold;
     std::vector<isa::MicroOp> trace_local;
+    workload::Workload::Stream stream(wl, 0);
     for (std::uint64_t i = 0; i < num_intervals; ++i) {
         std::span<const isa::MicroOp> trace;
         if (trace_cache) {
@@ -173,8 +176,7 @@ runStatic(const workload::Workload &wl,
                 wl, i * interval_length, interval_length);
             trace = *trace_hold;
         } else {
-            trace_local =
-                wl.generate(i * interval_length, interval_length);
+            trace_local = stream.take(interval_length);
             trace = trace_local;
         }
         const auto result = model.run(*core, trace);

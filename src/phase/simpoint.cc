@@ -20,12 +20,10 @@ intervalBbvs(const workload::Workload &wl,
 
     std::vector<Bbv> bbvs;
     bbvs.reserve(num_intervals);
-    // Generate the whole program once, interval by interval.
-    for (std::uint64_t i = 0; i < num_intervals; ++i) {
-        const auto trace =
-            wl.generate(i * interval_length, interval_length);
-        bbvs.push_back(Bbv::ofTrace(trace));
-    }
+    // Walk the whole program once, interval by interval.
+    workload::Workload::Stream stream(wl, 0);
+    for (std::uint64_t i = 0; i < num_intervals; ++i)
+        bbvs.push_back(Bbv::ofTrace(stream.take(interval_length)));
     return bbvs;
 }
 

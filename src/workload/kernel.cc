@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "obs/obs.hh"
 
 namespace adaptsim::workload
 {
@@ -293,8 +294,13 @@ void
 Kernel::skip(std::uint64_t count)
 {
     // State transitions depend on the generated values, so skipping
-    // must actually generate.  Kept as a named operation so callers
-    // express intent and future checkpointing has a single seam.
+    // must actually generate: it costs as much as next() per µop.
+    // Only a stream opened part-way into a segment skips, once (see
+    // Workload::Stream); sequential walks never do.  The counter adds
+    // the µops per skip, so it measures wasted generation.
+    if (count == 0)
+        return;
+    OBS_ONLY(OBS_COUNTER("workload/skipped_uops").add(count);)
     for (std::uint64_t i = 0; i < count; ++i)
         (void)next();
 }

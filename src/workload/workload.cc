@@ -39,32 +39,48 @@ Workload::kernelIdOf(std::size_t segment_index) const
 std::vector<isa::MicroOp>
 Workload::generate(std::uint64_t start, std::uint64_t count) const
 {
+    return Stream(*this, start).take(count);
+}
+
+Workload::Stream::Stream(const Workload &wl, std::uint64_t start)
+    : wl_(&wl)
+{
+    // Locate the segment containing the (wrapped) start position.
+    const std::uint64_t pos = start % wl.totalLength_;
+    const auto it = std::upper_bound(wl.segmentStart_.begin(),
+                                     wl.segmentStart_.end(), pos);
+    seg_ = static_cast<std::size_t>(it - wl.segmentStart_.begin()) - 1;
+    into_ = pos - wl.segmentStart_[seg_];
+}
+
+std::vector<isa::MicroOp>
+Workload::Stream::take(std::uint64_t count)
+{
     std::vector<isa::MicroOp> out;
     out.reserve(count);
-
-    std::uint64_t pos = start % totalLength_;
     while (out.size() < count) {
-        // Locate the segment containing pos.
-        const auto it = std::upper_bound(segmentStart_.begin(),
-                                         segmentStart_.end(), pos);
-        const std::size_t seg_idx =
-            static_cast<std::size_t>(it - segmentStart_.begin()) - 1;
-        const Segment &seg = segments_[seg_idx];
-        const std::uint64_t into = pos - segmentStart_[seg_idx];
-        const std::uint64_t remaining_in_seg = seg.length - into;
-        const std::uint64_t want = count - out.size();
-        const std::uint64_t take = std::min(want, remaining_in_seg);
-
-        // Kernels are seeded by identity so that repeated occurrences
-        // of the same kernel replay the same code.
-        const std::uint32_t kid = kernelIdOf(seg_idx);
-        Kernel kernel(seg.kernel, kid,
-                      seed_ ^ (std::uint64_t(kid) * 0x9e37UL));
-        kernel.skip(into);
-        for (std::uint64_t i = 0; i < take; ++i)
-            out.push_back(kernel.next());
-
-        pos = (pos + take) % totalLength_;
+        if (into_ == wl_->segments_[seg_].length) {
+            // Segment exhausted: move on, wrapping past the end.
+            seg_ = (seg_ + 1) % wl_->segments_.size();
+            into_ = 0;
+            kernel_.reset();
+        }
+        const Segment &seg = wl_->segments_[seg_];
+        if (!kernel_) {
+            // Kernels are seeded by identity so that repeated
+            // occurrences of the same kernel replay the same code.
+            // Opened lazily, so a stream that is never read (or only
+            // read up to a segment end) builds no spare kernel.
+            const std::uint32_t kid = wl_->kernelIdOf(seg_);
+            kernel_.emplace(seg.kernel, kid,
+                            wl_->seed_ ^ (std::uint64_t(kid) * 0x9e37UL));
+            kernel_->skip(into_);
+        }
+        const std::uint64_t n =
+            std::min(count - out.size(), seg.length - into_);
+        for (std::uint64_t i = 0; i < n; ++i)
+            out.push_back(kernel_->next());
+        into_ += n;
     }
     return out;
 }

@@ -8,6 +8,7 @@
 #define ADAPTSIM_WORKLOAD_WORKLOAD_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,9 +60,12 @@ class Workload
 
     const std::vector<Segment> &segments() const { return segments_; }
 
+    class Stream;
+
     /**
      * Generate @p count µops starting at absolute dynamic position
      * @p start (positions past the end wrap around the schedule).
+     * Equivalent to Stream(*this, start).take(count).
      */
     std::vector<isa::MicroOp> generate(std::uint64_t start,
                                        std::uint64_t count) const;
@@ -85,6 +89,36 @@ class Workload
     std::vector<std::uint64_t> segmentStart_; ///< cumulative offsets
     std::uint64_t totalLength_;
     std::uint64_t seed_;
+};
+
+/**
+ * A sequential cursor over a workload's dynamic µop stream.
+ *
+ * A kernel's state depends on every µop it has emitted, so entering a
+ * segment part-way means regenerating its prefix.  A stream pays that
+ * once, when it first opens its start segment; afterwards it keeps
+ * the current segment's kernel alive, so consecutive take() calls
+ * cost O(µops taken) and a whole-program walk costs O(program).  It
+ * holds one kernel, never the generated µops.  The workload must
+ * outlive the stream.
+ */
+class Workload::Stream
+{
+  public:
+    /** Position the cursor at @p start (wrapped into the program). */
+    Stream(const Workload &wl, std::uint64_t start);
+
+    /**
+     * The next @p count µops; the cursor moves past them, crossing
+     * segment boundaries and wrapping past the end like generate().
+     */
+    std::vector<isa::MicroOp> take(std::uint64_t count);
+
+  private:
+    const Workload *wl_;
+    std::size_t seg_;                ///< segment of the next µop
+    std::uint64_t into_;             ///< its offset within seg_
+    std::optional<Kernel> kernel_;   ///< seg_'s kernel, at into_
 };
 
 } // namespace adaptsim::workload

@@ -21,6 +21,7 @@
 #include "obs/obs.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
+#include "phase/simpoint.hh"
 #include "uarch/chip.hh"
 #include "workload/spec_suite.hh"
 
@@ -552,6 +553,43 @@ TEST(ChipObs, CompiledOutChipRunRegistersNothing)
         nullptr);
     EXPECT_EQ(Registry::global().findCounter("chip/core/0/quanta"),
               nullptr);
+}
+
+#endif // ADAPTSIM_OBS_ENABLED
+
+#if ADAPTSIM_OBS_ENABLED
+
+TEST(WorkloadObs, SkippedUopsCountsOnlyMidSegmentStarts)
+{
+    using namespace adaptsim;
+    const auto &skipped =
+        Registry::global().counter("workload/skipped_uops");
+    const auto suite = workload::specSuite(60000);
+    const std::uint64_t before = skipped.value();
+
+    // Whole-program walks stream: nothing is regenerated.
+    for (const auto &wl : suite)
+        (void)phase::intervalBbvs(wl, 3000);
+    EXPECT_EQ(skipped.value() - before, 0u);
+
+    // A random-access window opened mid-segment skips its offset,
+    // counted once for the whole skip.
+    const auto &wl = suite.front();
+    const std::uint64_t offset = wl.segments().front().length / 2;
+    (void)wl.generate(offset, 100);
+    EXPECT_EQ(skipped.value() - before, offset);
+}
+
+#else // !ADAPTSIM_OBS_ENABLED
+
+TEST(WorkloadObs, CompiledOutSkipRegistersNothing)
+{
+    using namespace adaptsim;
+    const auto wl = workload::specBenchmark("gzip", 60000);
+    (void)wl.generate(wl.segments().front().length / 2, 100);
+    EXPECT_EQ(
+        Registry::global().findCounter("workload/skipped_uops"),
+        nullptr);
 }
 
 #endif // ADAPTSIM_OBS_ENABLED

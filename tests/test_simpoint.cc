@@ -88,6 +88,25 @@ TEST(SimPoint, IntervalBbvCount)
         EXPECT_EQ(b.opCount(), 10000u);
 }
 
+TEST(SimPoint, IntervalBbvsMatchPerIntervalGenerate)
+{
+    // intervalBbvs walks each program with one stream; the reference
+    // regenerates every interval from its absolute position.  The
+    // 7000-µop interval leaves a partial tail, which is not covered.
+    constexpr std::uint64_t kInterval = 7000;
+    for (const auto &wl : workload::specSuite(60000)) {
+        const auto bbvs = intervalBbvs(wl, kInterval);
+        ASSERT_EQ(bbvs.size(), 60000 / kInterval) << wl.name();
+        for (std::size_t i = 0; i < bbvs.size(); ++i) {
+            const auto ref =
+                Bbv::ofTrace(wl.generate(i * kInterval, kInterval));
+            EXPECT_EQ(bbvs[i].opCount(), ref.opCount());
+            EXPECT_EQ(bbvs[i].values(), ref.values())
+                << wl.name() << " interval " << i;
+        }
+    }
+}
+
 TEST(SimPoint, TooShortProgramIsFatal)
 {
     const auto wl = workload::specBenchmark("eon", 20000);
