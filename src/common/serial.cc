@@ -35,16 +35,11 @@ putU64(std::string &out, std::uint64_t v)
 }
 
 void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
 putString(std::string &out, std::string_view s)
 {
-    putU32(out, static_cast<std::uint32_t>(s.size()));
+    const auto len = static_cast<std::uint32_t>(s.size());
+    for (int i = 0; i < 4; ++i)
+        out.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
     out.append(s.data(), s.size());
 }
 
@@ -65,24 +60,17 @@ getU64(const char *p)
     return v;
 }
 
-std::uint32_t
-getU32(const char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(p[i]))
-             << (8 * i);
-    return v;
-}
-
 bool
 getString(std::string_view in, std::size_t &off, std::string &out)
 {
     out.clear();
     if (off + 4 > in.size())
         return false;
-    const std::uint32_t len = getU32(in.data() + off);
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i)
+        len |= static_cast<std::uint32_t>(
+                   static_cast<unsigned char>(in[off + i]))
+               << (8 * i);
     off += 4;
     if (len > in.size() || off + len > in.size())
         return false;

@@ -31,10 +31,8 @@ std::uint64_t fnv1a64(const void *data, std::size_t size,
 /** Append @p v to @p out as 8 little-endian bytes. */
 void putU64(std::string &out, std::uint64_t v);
 
-/** Append @p v to @p out as 4 little-endian bytes. */
-void putU32(std::string &out, std::uint32_t v);
-
-/** Append @p s to @p out as a 4-byte length prefix plus bytes. */
+/** Append @p s to @p out as a 4-byte little-endian length prefix
+ *  plus bytes. */
 void putString(std::string &out, std::string_view s);
 
 /** Append the bit pattern of @p v to @p out (exact round-trip). */
@@ -42,9 +40,6 @@ void putDouble(std::string &out, double v);
 
 /** Decode 8 little-endian bytes at @p p. */
 std::uint64_t getU64(const char *p);
-
-/** Decode 4 little-endian bytes at @p p. */
-std::uint32_t getU32(const char *p);
 
 /**
  * Decode a putString()-encoded string from @p in at offset @p off,

@@ -13,88 +13,12 @@
 #include "obs/obs.hh"
 #include "sim/perf_model.hh"
 #include "space/sampling.hh"
-#include "svc/client.hh"
 
 namespace adaptsim::harness
 {
 
 namespace
 {
-
-/**
- * Evaluate a batch through the ADAPTSIM_EVAL_SOCKET daemon when the
- * env opts in, falling back to the in-process repository otherwise
- * (connection failure warns once and falls back for the process).
- * Requests are pipelined so the daemon coalesces the whole batch.
- */
-std::vector<EvalRecord>
-evaluateBatchVia(EvalRepository &repo, const PhaseSpec &spec,
-                 const std::vector<space::Configuration> &configs,
-                 const sim::PerfModel *backend,
-                 std::size_t refine_budget = ~std::size_t(0))
-{
-    const std::string socket_path = adaptsim::evalSocketPath();
-    if (socket_path.empty())
-        return repo.evaluateBatch(spec, configs, backend,
-                                  refine_budget);
-
-    // One connection per process; gather is single-threaded at this
-    // level (the parallelism lives server-side).
-    static std::unique_ptr<svc::EvalClient> client =
-        svc::EvalClient::connect(socket_path);
-    static bool warned = false;
-    if (!client || client->broken()) {
-        if (!warned) {
-            warned = true;
-            warn("gather: evaluation service at ", socket_path,
-                 " unavailable; using the in-process repository");
-        }
-        return repo.evaluateBatch(spec, configs, backend,
-                                  refine_budget);
-    }
-
-    const std::string backend_name = backend ? backend->name() : "";
-
-    // Sliding window: never more than the per-client in-flight cap
-    // unresolved at once, so the daemon's admission control is not
-    // tripped by our own pipelining.  Both sides read the same
-    // ADAPTSIM_SVC_CLIENT_CAP knob, so the defaults compose; a
-    // daemon running a smaller cap sheds the excess with typed
-    // errors and the fallback below still completes the gather.
-    const std::size_t window =
-        std::max<std::size_t>(1, adaptsim::svcClientCap());
-    std::vector<std::uint64_t> ids(configs.size(), 0);
-    std::vector<EvalRecord> out(configs.size());
-    std::size_t submitted = 0;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        while (submitted < configs.size() &&
-               submitted < i + window) {
-            ids[submitted] = client->submit(spec, configs[submitted],
-                                            backend_name);
-            ++submitted;
-        }
-        svc::EvalResult r;
-        if (ids[i] != 0)
-            r = client->wait(ids[i]);
-        if (r.ok) {
-            out[i] = r.record;
-            continue;
-        }
-        // A shed or failed request falls back to local evaluation;
-        // the gather must always complete.  Warn once, not once per
-        // shed request (a big gather pipelines thousands).
-        static bool warned_failure = false;
-        if (!warned_failure) {
-            warned_failure = true;
-            warn("gather: service request failed (",
-                 svc::errorCodeName(r.error), "): ", r.errorMessage,
-                 "; evaluating locally (further fallbacks are "
-                 "silent)");
-        }
-        out[i] = repo.evaluate(spec, configs[i], backend);
-    }
-    return out;
-}
 
 /** Compact wall-time rendering for progress lines. */
 std::string
@@ -126,8 +50,7 @@ gatherOnePhase(EvalRepository &repo,
                        ph.lengthInsts};
 
     // 1. Shared uniform sample.
-    auto evals =
-        evaluateBatchVia(repo, g.spec, shared, options.backend);
+    auto evals = repo.evaluateBatch(g.spec, shared, options.backend);
     auto record = [&](const space::Configuration &cfg,
                       const EvalRecord &r) {
         g.evals.push_back(ml::ConfigEval{cfg, r.efficiency});
@@ -151,8 +74,8 @@ gatherOnePhase(EvalRepository &repo,
                  ph.index * 0x9e37ULL));
         const auto neighbours = space::localNeighbours(
             rng, best_of(), options.localNeighbours);
-        const auto n_evals = evaluateBatchVia(
-            repo, g.spec, neighbours, options.backend);
+        const auto n_evals =
+            repo.evaluateBatch(g.spec, neighbours, options.backend);
         for (std::size_t i = 0; i < neighbours.size(); ++i)
             record(neighbours[i], n_evals[i]);
     }
@@ -161,7 +84,7 @@ gatherOnePhase(EvalRepository &repo,
     if (options.oneAtATimeSweep) {
         const auto sweep = space::oneAtATimeSweep(best_of());
         const auto s_evals =
-            evaluateBatchVia(repo, g.spec, sweep, options.backend);
+            repo.evaluateBatch(g.spec, sweep, options.backend);
         for (std::size_t i = 0; i < sweep.size(); ++i)
             record(sweep[i], s_evals[i]);
     }
@@ -287,8 +210,8 @@ gatherFromMemo(EvalRepository &repo, GatherScheduler &sched,
                 best = &e;
         }
         const auto sweep = space::oneAtATimeSweep(best->config);
-        const auto s_evals = evaluateBatchVia(
-            repo, spec, sweep, options.backend, 1);
+        const auto s_evals =
+            repo.evaluateBatch(spec, sweep, options.backend, 1);
         for (std::size_t i = 0; i < sweep.size(); ++i)
             upsertEval(g.evals, sweep[i], s_evals[i].efficiency);
     }

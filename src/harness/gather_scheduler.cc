@@ -16,8 +16,6 @@ namespace
 
 // Index layout: header, per-bucket key + serialized detector +
 // entries, trailing FNV-1a checksum over everything before it.
-// Version 2 added the chip-mix key to each memo's PhaseSpec;
-// version-1 indexes (all solo gathers) load with chip key 0.
 constexpr std::uint64_t kIndexMagic = 0x41445349'4d474d58ULL;
 constexpr std::uint64_t kIndexVersion = 2;
 
@@ -41,21 +39,18 @@ putSpec(std::string &out, const PhaseSpec &spec)
 }
 
 bool
-getSpec(const std::string &in, std::size_t &off, PhaseSpec &spec,
-        bool has_chip)
+getSpec(const std::string &in, std::size_t &off, PhaseSpec &spec)
 {
     if (!getString(in, off, spec.workload))
         return false;
-    const std::size_t want = has_chip ? 40 : 32;
-    if (off + want > in.size())
+    if (off + 40 > in.size())
         return false;
     spec.programLength = getU64(in.data() + off);
     spec.startInst = getU64(in.data() + off + 8);
     spec.warmLength = getU64(in.data() + off + 16);
     spec.detailLength = getU64(in.data() + off + 24);
-    // Version-1 memos predate the chip model: all solo gathers.
-    spec.chipMix = has_chip ? getU64(in.data() + off + 32) : 0;
-    off += want;
+    spec.chipMix = getU64(in.data() + off + 32);
+    off += 40;
     return true;
 }
 
@@ -303,10 +298,8 @@ GatherScheduler::deserialize(const std::string &bytes)
         return false;
     if (getU64(bytes.data()) != kIndexMagic)
         return false;
-    const std::uint64_t version = getU64(bytes.data() + 8);
-    if (version != 1 && version != kIndexVersion)
+    if (getU64(bytes.data() + 8) != kIndexVersion)
         return false;
-    const bool has_chip = version >= 2;
 
     std::map<std::string, Bucket> loaded;
     const std::uint64_t n_buckets = getU64(bytes.data() + 16);
@@ -328,7 +321,7 @@ GatherScheduler::deserialize(const std::string &bytes)
             return false;
         for (std::uint64_t ei = 0; ei < n_entries; ++ei) {
             Memo m;
-            if (!getSpec(bytes, off, m.spec, has_chip))
+            if (!getSpec(bytes, off, m.spec))
                 return false;
             if (off + 32 > body)
                 return false;

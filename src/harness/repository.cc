@@ -13,7 +13,6 @@
 #include "common/serial.hh"
 #include "obs/obs.hh"
 #include "power/metrics.hh"
-#include "sim/cycle_level_model.hh"
 #include "sim/perf_model.hh"
 
 namespace adaptsim::harness
@@ -27,23 +26,11 @@ namespace
 // On-disk cache format: 24-byte header + fixed 88-byte records
 // (config code, backend tag, chip-mix key, seven doubles, checksum),
 // everything little-endian and checksummed (see repository.hh).
-// Version 2 lacked the chip-mix word (all its records were solo
-// runs, migrated with chip key 0); version 1 also lacked the
-// backend-tag word (72-byte records, migrated as solo cycle-level).
 constexpr char kMagic[8] = {'A', 'D', 'S', 'I', 'M', 'E', 'V', 'C'};
 constexpr std::uint64_t kVersion = 3;
 constexpr std::size_t kHeaderSize = 24;
 constexpr std::size_t kRecordSize = 88;
 constexpr std::size_t kRecordPayload = kRecordSize - 8;
-constexpr std::size_t kRecordSizeV2 = 80;
-constexpr std::size_t kRecordPayloadV2 = kRecordSizeV2 - 8;
-constexpr std::size_t kRecordSizeV1 = 72;
-constexpr std::size_t kRecordPayloadV1 = kRecordSizeV1 - 8;
-
-/** Upper bound on shard files probed on load (matches the env
- *  clamp), so a store written under any legal shard count is found
- *  regardless of the current one. */
-constexpr std::size_t kMaxShards = 64;
 
 std::string
 encodeHeader()
@@ -86,25 +73,6 @@ decodeDoubles(const char *p)
     return r;
 }
 
-bool
-hasMagic(const std::string &bytes)
-{
-    return bytes.size() >= sizeof(kMagic) &&
-           std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0;
-}
-
-/** Header version of a cache image, or 0 when the header is absent,
- *  unrecognised or corrupt (version 0 is never written). */
-std::uint64_t
-headerVersion(const std::string &bytes)
-{
-    if (!hasMagic(bytes) || bytes.size() < kHeaderSize)
-        return 0;
-    if (getU64(bytes.data() + 16) != fnv1a64(bytes.data(), 16))
-        return 0;
-    return getU64(bytes.data() + 8);
-}
-
 #if ADAPTSIM_OBS_ENABLED
 
 /** Process-wide mirror of the per-instance CacheStats counters, so
@@ -119,8 +87,6 @@ struct RepoMetrics
         obs::Registry::global().counter("repo/loaded");
     obs::Counter &flushed =
         obs::Registry::global().counter("repo/flushed");
-    obs::Counter &migrated =
-        obs::Registry::global().counter("repo/migrated");
     obs::Counter &dropped =
         obs::Registry::global().counter("repo/dropped");
 };
@@ -153,10 +119,12 @@ EvalRepository::EvalRepository(std::vector<workload::Workload> suite,
                                std::string data_dir, unsigned threads,
                                std::size_t shards)
     : suite_(std::move(suite)), dataDir_(std::move(data_dir)),
-      shards_(shards > 0 ? std::min(shards, kMaxShards)
-                         : adaptsim::evalShards()),
       pool_(threads), flushEvery_(adaptsim::flushEvery())
 {
+    // Only 0 or 1: the frozen perfbench/ driver still passes 1.
+    if (shards > 1)
+        fatal("EvalRepository: shard count ", shards,
+              " unsupported (the store has one file per phase)");
     std::error_code ec;
     fs::create_directories(dataDir_, ec);
     if (ec)
@@ -172,41 +140,17 @@ EvalRepository::~EvalRepository()
 const workload::Workload &
 EvalRepository::workload(const std::string &name) const
 {
-    if (const auto *wl = findWorkload(name))
-        return *wl;
+    for (const auto &wl : suite_) {
+        if (wl.name() == name)
+            return wl;
+    }
     fatal("unknown workload in repository: ", name);
 }
 
-const workload::Workload *
-EvalRepository::findWorkload(const std::string &name) const
-{
-    for (const auto &wl : suite_) {
-        if (wl.name() == name)
-            return &wl;
-    }
-    return nullptr;
-}
-
-std::size_t
-EvalRepository::shardOf(const EvalKey &key) const
-{
-    return EvalKeyHash{}(key) % shards_;
-}
-
 std::string
-EvalRepository::shardPath(const std::string &spec_key,
-                          std::size_t i) const
+EvalRepository::cachePath(const std::string &spec_key) const
 {
-    if (i == 0)
-        return dataDir_ + "/" + spec_key + ".evc";
-    return dataDir_ + "/" + spec_key + ".s" + std::to_string(i) +
-           ".evc";
-}
-
-std::string
-EvalRepository::legacyCachePath(const PhaseSpec &spec) const
-{
-    return dataDir_ + "/" + spec.key() + ".csv";
+    return dataDir_ + "/" + spec_key + ".evc";
 }
 
 std::string
@@ -215,35 +159,31 @@ EvalRepository::profilePath(const PhaseSpec &spec) const
     return dataDir_ + "/" + spec.key() + ".features";
 }
 
-bool
-EvalRepository::loadBinaryCache(const std::string &path,
-                                const std::string &bytes,
-                                PhaseCache &cache,
-                                std::size_t shard_index,
-                                bool &misplaced)
+void
+EvalRepository::loadCache(const PhaseSpec &spec, PhaseCache &cache)
 {
-    misplaced = false;
+    cache.loaded = true;
+    const std::string path = cachePath(spec.key());
+    const std::string bytes = readFile(path);
     if (bytes.empty())
-        return false;
-    if (!hasMagic(bytes) || bytes.size() < kHeaderSize) {
+        return;
+    if (bytes.size() < kHeaderSize ||
+        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
         warn("cache ", path,
              ": unrecognised header; ignoring file (records will "
              "be re-simulated)");
-        return false;
+        return;
     }
     if (getU64(bytes.data() + 16) != fnv1a64(bytes.data(), 16)) {
         warn("cache ", path,
              ": corrupt header checksum; regenerating");
-        return false;
+        return;
     }
     const std::uint64_t version = getU64(bytes.data() + 8);
     if (version != kVersion) {
-        // Versions 1 and 2 are handled by loadV1Cache/loadV2Cache
-        // (migration), so this is an unknown — likely future —
-        // format.
         warn("cache ", path, ": format version ", version,
              " (expected ", kVersion, "); regenerating");
-        return false;
+        return;
     }
 
     std::size_t off = kHeaderSize;
@@ -258,8 +198,6 @@ EvalRepository::loadBinaryCache(const std::string &path,
             continue;
         }
         const EvalKey key{getU64(p + 8), getU64(p), getU64(p + 16)};
-        if (shardOf(key) != shard_index)
-            misplaced = true;
         if (cache.records.emplace(key, decodeDoubles(p + 24)).second)
             ++count;
     }
@@ -273,223 +211,7 @@ EvalRepository::loadBinaryCache(const std::string &path,
     }
     loaded_ += count;
     OBS_ONLY(repoMetrics().loaded.add(count);)
-    return true;
-}
-
-bool
-EvalRepository::loadV1Cache(const std::string &path,
-                            const std::string &bytes,
-                            PhaseCache &cache)
-{
-    // Version-1 records predate the backend seam: everything in them
-    // was produced by the cycle-level pipeline, so they migrate with
-    // the cycle-level tag and stay bit-exact.
-    std::size_t off = kHeaderSize;
-    std::size_t bad = 0;
-    std::size_t count = 0;
-    while (off + kRecordSizeV1 <= bytes.size()) {
-        const char *p = bytes.data() + off;
-        off += kRecordSizeV1;
-        if (getU64(p + kRecordPayloadV1) !=
-            fnv1a64(p, kRecordPayloadV1)) {
-            ++bad;
-            continue;
-        }
-        const EvalKey key{sim::CycleLevelModel::kCacheTag,
-                          getU64(p)};
-        if (cache.records.emplace(key, decodeDoubles(p + 8)).second)
-            ++count;
-    }
-    const std::size_t tail = bytes.size() - off;
-    if (bad > 0 || tail > 0) {
-        warn("cache ", path, ": dropped ", bad,
-             " corrupt record(s) and ", tail,
-             " torn tail byte(s); they will be re-simulated");
-        dropped_ += bad + (tail > 0 ? 1 : 0);
-        OBS_ONLY(repoMetrics().dropped.add(bad + (tail > 0 ? 1 : 0));)
-    }
-    if (count > 0)
-        inform("cache ", path, ": migrating ", count,
-               " format-1 record(s) to format ", kVersion);
-    return count > 0;
-}
-
-bool
-EvalRepository::loadV2Cache(const std::string &path,
-                            const std::string &bytes,
-                            PhaseCache &cache)
-{
-    // Version-2 records predate the chip model: everything in them
-    // was a solo single-core run, so they migrate with chip key 0
-    // and stay bit-exact.
-    std::size_t off = kHeaderSize;
-    std::size_t bad = 0;
-    std::size_t count = 0;
-    while (off + kRecordSizeV2 <= bytes.size()) {
-        const char *p = bytes.data() + off;
-        off += kRecordSizeV2;
-        if (getU64(p + kRecordPayloadV2) !=
-            fnv1a64(p, kRecordPayloadV2)) {
-            ++bad;
-            continue;
-        }
-        const EvalKey key{getU64(p + 8), getU64(p), 0};
-        if (cache.records.emplace(key, decodeDoubles(p + 16)).second)
-            ++count;
-    }
-    const std::size_t tail = bytes.size() - off;
-    if (bad > 0 || tail > 0) {
-        warn("cache ", path, ": dropped ", bad,
-             " corrupt record(s) and ", tail,
-             " torn tail byte(s); they will be re-simulated");
-        dropped_ += bad + (tail > 0 ? 1 : 0);
-        OBS_ONLY(repoMetrics().dropped.add(bad + (tail > 0 ? 1 : 0));)
-    }
-    if (count > 0)
-        inform("cache ", path, ": migrating ", count,
-               " format-2 record(s) to format ", kVersion);
-    return count > 0;
-}
-
-void
-EvalRepository::adoptRecords(const PhaseCache &from,
-                             PhaseCache &cache)
-{
-    for (const auto &[key, r] : from.records) {
-        if (cache.records.emplace(key, r).second) {
-            ++migrated_;
-            OBS_ONLY(repoMetrics().migrated.add(1);)
-        }
-    }
-    // Adopted records come from another layout/format; the next
-    // flush rewrites the whole store in the current one.
-    cache.needRewrite = true;
-}
-
-void
-EvalRepository::loadLegacyCsv(const std::string &path,
-                              const std::string &bytes,
-                              PhaseCache &cache)
-{
-    std::istringstream in(bytes);
-    std::string line;
-    std::size_t adopted = 0;
-    std::size_t bad = 0;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        std::istringstream ls(line);
-        std::uint64_t code;
-        EvalRecord r;
-        char comma;
-        if (ls >> code >> comma >> r.cycles >> comma >>
-            r.instructions >> comma >> r.seconds >> comma >>
-            r.joules >> comma >> r.ipc >> comma >> r.watts >>
-            comma >> r.efficiency) {
-            // The exact-format file wins when both know a config.
-            // CSV predates the backend seam: cycle-level records.
-            const EvalKey key{sim::CycleLevelModel::kCacheTag,
-                              code};
-            if (cache.records.emplace(key, r).second)
-                ++adopted;
-        } else {
-            ++bad;
-        }
-    }
-    if (bad > 0) {
-        warn("cache ", path, ": dropped ", bad,
-             " malformed line(s); those records will be "
-             "re-simulated");
-        dropped_ += bad;
-        OBS_ONLY(repoMetrics().dropped.add(bad);)
-    }
-    migrated_ += adopted;
-    OBS_ONLY(repoMetrics().migrated.add(adopted);)
-    cache.needRewrite = true;
-    cache.legacyPending = true;
-}
-
-void
-EvalRepository::loadCache(const PhaseSpec &spec, PhaseCache &cache)
-{
-    cache.loaded = true;
-    cache.shardState.resize(shards_);
-    cache.shardFileMutex.reserve(shards_);
-    for (std::size_t i = 0; i < shards_; ++i)
-        cache.shardFileMutex.push_back(std::make_unique<Mutex>());
-
-    // Probe every possible shard file so a store written under a
-    // different shard count is still found whole.  Files beyond the
-    // current count — or whose records hash elsewhere under it —
-    // mark the store for an atomic rewrite in the current layout.
-    const std::string key = spec.key();
-    for (std::size_t i = 0; i < kMaxShards; ++i) {
-        const std::string path = shardPath(key, i);
-        const std::string bytes = readFile(path);
-        if (bytes.empty())
-            continue;
-        const std::uint64_t version = headerVersion(bytes);
-        if (version == 1 || version == 2) {
-            // Pre-chip file: adopt its records (v1 as cycle-level,
-            // both as solo chip key 0); the next flush rewrites the
-            // store in the current format.
-            PhaseCache tmp;
-            const bool got = version == 1
-                                 ? loadV1Cache(path, bytes, tmp)
-                                 : loadV2Cache(path, bytes, tmp);
-            if (got)
-                adoptRecords(tmp, cache);
-            cache.needRewrite = true;
-            continue;
-        }
-        bool misplaced = false;
-        const bool valid = loadBinaryCache(path, bytes, cache,
-                                           i % shards_, misplaced);
-        if (i >= shards_) {
-            // Stray shard from a larger previous count: its records
-            // are adopted; the rewrite removes the file.
-            cache.needRewrite = true;
-        } else if (valid && !misplaced) {
-            cache.shardState[i].haveBinaryFile = true;
-        } else if (misplaced) {
-            cache.needRewrite = true;
-        }
-    }
-    if (cache.needRewrite) {
-        for (auto &shard : cache.shardState)
-            shard.haveBinaryFile = false;
-    }
-
-    // Legacy (pre-format) cache: sniff the header, adopt whatever
-    // records the shard files do not already have, and queue a
-    // rewrite so they land in the current format.
-    const std::string legacy = legacyCachePath(spec);
-    const std::string legacy_bytes = readFile(legacy);
-    if (legacy_bytes.empty())
-        return;
-    if (hasMagic(legacy_bytes)) {
-        PhaseCache tmp;
-        bool ignored = false;
-        const std::uint64_t legacy_version =
-            headerVersion(legacy_bytes);
-        const bool got =
-            legacy_version == 1
-                ? loadV1Cache(legacy, legacy_bytes, tmp)
-            : legacy_version == 2
-                ? loadV2Cache(legacy, legacy_bytes, tmp)
-                : loadBinaryCache(legacy, legacy_bytes, tmp, 0,
-                                  ignored);
-        if (got) {
-            adoptRecords(tmp, cache);
-            cache.legacyPending = true;
-        }
-    } else {
-        loadLegacyCsv(legacy, legacy_bytes, cache);
-    }
-    if (cache.needRewrite) {
-        for (auto &shard : cache.shardState)
-            shard.haveBinaryFile = false;
-    }
+    cache.haveFile = true;
 }
 
 EvalRepository::PhaseCache &
@@ -626,31 +348,25 @@ EvalRepository::evaluateImpl(const PhaseSpec &spec,
     if (!inserted)
         return stored;
 
-    const std::size_t s = shardOf(key);
-    auto &shard = cache.shardState[s];
-    shard.unsaved.emplace_back(key, r);
-    if (shard.unsaved.size() < flushEvery_)
+    cache.unsaved.emplace_back(key, r);
+    if (cache.unsaved.size() < flushEvery_)
         return stored;
 
-    if (cache.needRewrite || cache.legacyPending ||
-        !shard.haveBinaryFile) {
-        // The store needs structural work (layout rewrite, format
-        // migration, first write): take the slow path.
+    if (!cache.haveFile) {
+        // First write of this phase's file: take the slow path.
         flushLocked();
         return stored;
     }
 
-    // Fast path: this shard has a valid file, so its batch can be
+    // Fast path: the phase has a valid file, so its batch can be
     // appended without the global lock.  Swap the batch out under
-    // mutex_, do the I/O under the shard's file mutex only, then
-    // relock to update counters.  Other shards — and other phase
-    // caches — keep evaluating meanwhile.  A concurrent atomic
-    // rewrite renaming the file away is benign: the batch records
-    // are already in cache.records, so the rewrite includes them.
+    // mutex_, do the I/O under the phase's file mutex only, then
+    // relock to update counters.  Other phase caches keep evaluating
+    // meanwhile.
     std::vector<std::pair<EvalKey, EvalRecord>> batch;
-    batch.swap(shard.unsaved);
-    Mutex &file_mutex = *cache.shardFileMutex[s];
-    const std::string path = shardPath(spec.key(), s);
+    batch.swap(cache.unsaved);
+    Mutex &file_mutex = cache.fileMutex;
+    const std::string path = cachePath(spec.key());
     lock.unlock();
 
     std::string bytes;
@@ -667,30 +383,12 @@ EvalRepository::evaluateImpl(const PhaseSpec &spec,
         flushed_ += batch.size();
         OBS_ONLY(repoMetrics().flushed.add(batch.size());)
     } else {
-        warn("cannot persist cache shard ", path);
+        warn("cannot persist cache ", path);
         // Re-queue so a later flush (or the destructor) retries.
-        auto &again = cache.shardState[s].unsaved;
-        again.insert(again.end(), batch.begin(), batch.end());
+        cache.unsaved.insert(cache.unsaved.end(), batch.begin(),
+                             batch.end());
     }
     return stored;
-}
-
-bool
-EvalRepository::peekCached(const PhaseSpec &spec,
-                           const space::Configuration &config,
-                           const sim::PerfModel *backend)
-{
-    const sim::PerfModel &model =
-        backend ? *backend : sim::defaultPerfModel();
-    const std::uint64_t code = config.encode();
-    const auto tags = model.cacheLookupTags();
-    MutexLock lock(mutex_);
-    auto &cache = cacheFor(spec);
-    for (const std::uint64_t tag : tags) {
-        if (cache.records.count(EvalKey{tag, code, spec.chipMix}) > 0)
-            return true;
-    }
-    return false;
 }
 
 std::vector<EvalRecord>
@@ -896,105 +594,37 @@ void
 EvalRepository::flushLocked()
 {
     for (auto &[key, cache] : caches_) {
-        const bool have_unsaved = std::any_of(
-            cache.shardState.begin(), cache.shardState.end(),
-            [](const ShardState &s) { return !s.unsaved.empty(); });
-        if (!have_unsaved && !cache.needRewrite &&
-            !cache.legacyPending)
+        if (cache.unsaved.empty())
             continue;
-
-        bool all_ok = true;
-        if (cache.needRewrite) {
-            // Structural rewrite: every shard is rebuilt atomically
-            // from the in-memory records so the store ends up in the
-            // current layout whatever it looked like on disk.
-            for (std::size_t s = 0; s < shards_; ++s) {
-                std::string bytes = encodeHeader();
-                std::size_t count = 0;
-                for (const auto &[ek, r] : cache.records) {
-                    if (shardOf(ek) == s) {
-                        encodeRecord(bytes, ek, r);
-                        ++count;
-                    }
-                }
-                const std::string path = shardPath(key, s);
-                MutexLock file_lock(*cache.shardFileMutex[s]);
-                if (count == 0 && s > 0) {
-                    // Secondary shard with no records: leave no
-                    // header-only stub behind.
-                    std::error_code ec;
-                    fs::remove(path, ec);
-                    cache.shardState[s].haveBinaryFile = false;
-                    cache.shardState[s].unsaved.clear();
-                    continue;
-                }
-                if (atomicWriteFile(path, bytes)) {
-                    cache.shardState[s].haveBinaryFile = true;
-                    flushed_ += count;
-                    OBS_ONLY(repoMetrics().flushed.add(count);)
-                    cache.shardState[s].unsaved.clear();
-                } else {
-                    warn("cannot persist cache shard ", path);
-                    all_ok = false;
-                }
-            }
-            if (all_ok) {
-                cache.needRewrite = false;
-                // Drop stray shard files from a previous, larger
-                // shard count; their records were adopted on load.
-                for (std::size_t s = shards_; s < kMaxShards; ++s) {
-                    std::error_code ec;
-                    fs::remove(shardPath(key, s), ec);
-                }
-            }
+        // A phase with a valid file gets a checksummed append; one
+        // without is created atomically with everything it holds.
+        std::string bytes;
+        std::size_t written = 0;
+        if (cache.haveFile) {
+            for (const auto &[ek, r] : cache.unsaved)
+                encodeRecord(bytes, ek, r);
+            written = cache.unsaved.size();
         } else {
-            // Per-shard incremental flush: shards with a valid file
-            // get a checksummed append; shards without one are
-            // created atomically with everything they own.
-            for (std::size_t s = 0; s < shards_; ++s) {
-                auto &shard = cache.shardState[s];
-                if (shard.unsaved.empty() && shard.haveBinaryFile)
-                    continue;
-                const std::string path = shardPath(key, s);
-                bool ok;
-                std::size_t written;
-                MutexLock file_lock(*cache.shardFileMutex[s]);
-                if (!shard.haveBinaryFile) {
-                    if (shard.unsaved.empty())
-                        continue;
-                    std::string bytes = encodeHeader();
-                    written = 0;
-                    for (const auto &[ek, r] : cache.records) {
-                        if (shardOf(ek) == s) {
-                            encodeRecord(bytes, ek, r);
-                            ++written;
-                        }
-                    }
-                    ok = atomicWriteFile(path, bytes);
-                    if (ok)
-                        shard.haveBinaryFile = true;
-                } else {
-                    std::string bytes;
-                    for (const auto &[ek, r] : shard.unsaved)
-                        encodeRecord(bytes, ek, r);
-                    written = shard.unsaved.size();
-                    ok = appendFileSync(path, bytes);
-                }
-                if (!ok) {
-                    warn("cannot persist cache shard ", path);
-                    all_ok = false;
-                    continue;
-                }
-                flushed_ += written;
-                OBS_ONLY(repoMetrics().flushed.add(written);)
-                shard.unsaved.clear();
-            }
+            bytes = encodeHeader();
+            for (const auto &[ek, r] : cache.records)
+                encodeRecord(bytes, ek, r);
+            written = cache.records.size();
         }
-        if (all_ok && cache.legacyPending) {
-            std::error_code ec;
-            fs::remove(dataDir_ + "/" + key + ".csv", ec);
-            cache.legacyPending = false;
+        const std::string path = cachePath(key);
+        bool ok;
+        {
+            MutexLock file_lock(cache.fileMutex);
+            ok = cache.haveFile ? appendFileSync(path, bytes)
+                                : atomicWriteFile(path, bytes);
         }
+        if (!ok) {
+            warn("cannot persist cache ", path);
+            continue;
+        }
+        cache.haveFile = true;
+        flushed_ += written;
+        OBS_ONLY(repoMetrics().flushed.add(written);)
+        cache.unsaved.clear();
     }
 }
 
@@ -1007,7 +637,6 @@ EvalRepository::stats() const
     s.misses = simulated_;
     s.loaded = loaded_;
     s.flushed = flushed_;
-    s.migrated = migrated_;
     s.dropped = dropped_;
     s.simSeconds = simSeconds_;
     const auto tc = traceCache_.stats();
@@ -1028,8 +657,6 @@ EvalRepository::statsSummary() const
        << std::fixed << std::setprecision(1) << s.simSeconds
        << "s), " << s.loaded << " loaded, " << s.flushed
        << " flushed";
-    if (s.migrated > 0)
-        os << ", " << s.migrated << " migrated";
     if (s.dropped > 0)
         os << ", " << s.dropped << " dropped";
     if (s.traceHits + s.traceMisses > 0) {

@@ -13,39 +13,25 @@
  * backend's cache tag is part of every in-memory key and on-disk
  * record.
  *
- * On-disk format: each PhaseSpec's store is hash-split across N
- * shard files (N = ADAPTSIM_EVAL_SHARDS, default 1) — `<key>.evc`
- * for shard 0 and `<key>.s<i>.evc` for shards 1..N-1, a record's
- * shard chosen by its EvalKey hash.  Every shard file carries the
- * same format: a 24-byte header (8-byte magic "ADSIMEVC",
- * little-endian u64 version — now 3 — FNV-1a checksum of the first
- * 16 bytes) followed by fixed-size 88-byte records — config code
- * (u64), backend cache tag (u64), chip-mix key (u64; 0 = solo
- * single-core), the seven EvalRecord doubles bit-exact, and a
- * per-record FNV-1a checksum.  Files are created by atomic rename
- * and extended by append+fsync, so completed records survive a
- * `kill -9` at any point; a torn tail or corrupt record fails its
- * checksum and is simply re-simulated.  Incremental flushing is
- * accounted per shard (every shard buffers up to
- * ADAPTSIM_FLUSH_EVERY records) and each shard appends under its own
- * file lock, so concurrent writers to different shards never
- * serialize on one flush.  A store written under a different shard
- * count is adopted wholesale and atomically rewritten in the current
- * layout on the next flush (stray shard files removed).  Older
- * versions migrate on load: version-2 records (80 bytes, no chip-mix
- * word) predate the chip model and are adopted with chip key 0 (all
- * of them were solo runs); version-1 records (72 bytes, no backend
- * tag either) are adopted as solo cycle-level (tag 0 — the pre-seam
- * backend).  Both are rewritten in the current format on the next
- * flush.  Pre-format CSV caches (`<key>.csv`) are detected by header
- * sniffing, merged in, and rewritten the same way.
+ * On-disk format: one `<key>.evc` file per PhaseSpec — a 24-byte
+ * header (8-byte magic "ADSIMEVC", little-endian u64 version 3,
+ * FNV-1a checksum of the first 16 bytes) followed by fixed-size
+ * 88-byte records: config code (u64), backend cache tag (u64),
+ * chip-mix key (u64; 0 = solo single-core), the seven EvalRecord
+ * doubles bit-exact, and a per-record FNV-1a checksum.  A file is
+ * created by atomic rename and extended by append+fsync, so
+ * completed records survive a `kill -9` at any point; a torn tail or
+ * corrupt record fails its checksum and is simply re-simulated.  A
+ * file with a bad header or any other version is ignored and
+ * atomically replaced on the next flush.  Each phase appends under
+ * its own file lock, so concurrent writers to different phases never
+ * serialize on one flush.
  */
 
 #ifndef ADAPTSIM_HARNESS_REPOSITORY_HH
 #define ADAPTSIM_HARNESS_REPOSITORY_HH
 
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -136,16 +122,15 @@ struct EvalKeyHash
 
 /** Running counters of repository activity (see stats()).  Every
  *  increment is mirrored into the process-wide obs registry under
- *  repo/hit, repo/miss, repo/loaded, repo/flushed, repo/migrated
- *  and repo/dropped (plus the repo/simulate.seconds span histogram),
- *  so the exit metrics report and traces see the same numbers. */
+ *  repo/hit, repo/miss, repo/loaded, repo/flushed and repo/dropped
+ *  (plus the repo/simulate.seconds span histogram), so the exit
+ *  metrics report and traces see the same numbers. */
 struct CacheStats
 {
     std::uint64_t hits = 0;        ///< served from memory/disk cache
     std::uint64_t misses = 0;      ///< simulations actually run
     std::uint64_t loaded = 0;      ///< records read from disk
     std::uint64_t flushed = 0;     ///< records persisted this process
-    std::uint64_t migrated = 0;    ///< records adopted from legacy CSV
     std::uint64_t dropped = 0;     ///< malformed/corrupt records skipped
     double simSeconds = 0.0;       ///< wall time spent simulating
 
@@ -166,8 +151,7 @@ class EvalRepository
      * @param suite the workload suite (looked up by name).
      * @param data_dir on-disk cache directory (created if absent).
      * @param threads evaluation parallelism.
-     * @param shards on-disk store shard count; 0 selects the
-     *   ADAPTSIM_EVAL_SHARDS default (clamped to 1..64).
+     * @param shards on-disk files per phase; must be 0 or 1.
      */
     EvalRepository(std::vector<workload::Workload> suite,
                    std::string data_dir, unsigned threads,
@@ -195,7 +179,7 @@ class EvalRepository
      *  truth and replaced in the returned vector; @p refine_budget
      *  caps those ground-truth runs (0 skips refinement outright —
      *  used for batches the caller already trusts, e.g. memoised
-     *  gathers and all-cache-hit daemon batches). */
+     *  gathers). */
     std::vector<EvalRecord>
     evaluateBatch(const PhaseSpec &spec,
                   const std::vector<space::Configuration> &configs,
@@ -236,28 +220,11 @@ class EvalRepository
         ADAPTSIM_EXCLUDES(mutex_);
 
     /** Persist any unsaved results now (incremental flushing also
-     *  runs whenever any single shard accumulates flushEvery()
+     *  runs whenever any single phase accumulates flushEvery()
      *  unsaved records; see ADAPTSIM_FLUSH_EVERY). */
     void flush() ADAPTSIM_EXCLUDES(mutex_);
 
     const workload::Workload &workload(const std::string &name) const;
-
-    /** Workload by name, or nullptr when the suite lacks it (the
-     *  evaluation service validates requests with this instead of
-     *  the fatal workload() lookup). */
-    const workload::Workload *
-    findWorkload(const std::string &name) const;
-
-    /**
-     * Whether evaluate(spec, config, backend) would be answered from
-     * the cache right now (probes the backend's cacheLookupTags()
-     * without simulating; loads the phase's disk cache if needed).
-     * Used by the evaluation service to tag replies hit/miss.
-     */
-    bool peekCached(const PhaseSpec &spec,
-                    const space::Configuration &config,
-                    const sim::PerfModel *backend = nullptr)
-        ADAPTSIM_EXCLUDES(mutex_);
 
     std::uint64_t
     simulationsRun() const
@@ -279,7 +246,7 @@ class EvalRepository
     /** One-line human-readable stats() rendering for progress. */
     std::string statsSummary() const;
 
-    /** Records buffered per shard between incremental flushes
+    /** Records buffered per phase between incremental flushes
      *  (default from env). */
     std::size_t
     flushEvery() const
@@ -293,9 +260,6 @@ class EvalRepository
     /** The interval-trace cache shared by all worker threads. */
     workload::TraceCache &traceCache() { return traceCache_; }
 
-    /** On-disk store shard count (fixed at construction). */
-    std::size_t shards() const { return shards_; }
-
     /** Root directory of the on-disk store (fixed at construction);
      *  sibling indices (the gather phase-memo) live alongside it. */
     const std::string &dataDir() const { return dataDir_; }
@@ -308,31 +272,19 @@ class EvalRepository
         ADAPTSIM_EXCLUDES(mutex_);
 
   private:
-    /** Per-shard persistence state of one phase's store. */
-    struct ShardState
-    {
-        /** Records awaiting persistence to this shard's file. */
-        std::vector<std::pair<EvalKey, EvalRecord>> unsaved;
-        /** A valid current-format shard file exists (append mode). */
-        bool haveBinaryFile = false;
-    };
-
     struct PhaseCache
     {
         std::unordered_map<EvalKey, EvalRecord, EvalKeyHash> records;
-        std::vector<ShardState> shardState;
-        /** Per-shard file-append locks: concurrent writers flushing
-         *  different shards never serialize on one another.  Always
-         *  acquired after mutex_ or with mutex_ dropped (the append
-         *  fast path), never the other way around. */
-        std::vector<std::unique_ptr<Mutex>> shardFileMutex;
+        /** Records awaiting persistence to the phase's file. */
+        std::vector<std::pair<EvalKey, EvalRecord>> unsaved;
+        /** A valid current-format file exists (append mode). */
+        bool haveFile = false;
         bool loaded = false;
-        /** The on-disk layout does not match the current shard
-         *  count/format (reshard or migration); the next flush
-         *  atomically rewrites every shard file. */
-        bool needRewrite = false;
-        /** Legacy CSV to delete once its records are re-persisted. */
-        bool legacyPending = false;
+        /** File-append lock: concurrent writers flushing different
+         *  phases never serialize on one another.  Always acquired
+         *  after mutex_ or with mutex_ dropped (the append fast
+         *  path), never the other way around. */
+        Mutex fileMutex;
     };
 
     /** Run the real simulation through @p backend (no caching).
@@ -359,33 +311,12 @@ class EvalRepository
         ADAPTSIM_REQUIRES(mutex_);
     void loadCache(const PhaseSpec &spec, PhaseCache &cache)
         ADAPTSIM_REQUIRES(mutex_);
-    bool loadBinaryCache(const std::string &path,
-                         const std::string &bytes, PhaseCache &cache,
-                         std::size_t shard_index, bool &misplaced)
-        ADAPTSIM_REQUIRES(mutex_);
-    bool loadV1Cache(const std::string &path,
-                     const std::string &bytes, PhaseCache &cache)
-        ADAPTSIM_REQUIRES(mutex_);
-    bool loadV2Cache(const std::string &path,
-                     const std::string &bytes, PhaseCache &cache)
-        ADAPTSIM_REQUIRES(mutex_);
-    void adoptRecords(const PhaseCache &from, PhaseCache &cache)
-        ADAPTSIM_REQUIRES(mutex_);
-    void loadLegacyCsv(const std::string &path,
-                       const std::string &bytes, PhaseCache &cache)
-        ADAPTSIM_REQUIRES(mutex_);
     void flushLocked() ADAPTSIM_REQUIRES(mutex_);
-    /** Shard index of @p key under the current shard count. */
-    std::size_t shardOf(const EvalKey &key) const;
-    /** Path of shard @p i of the phase keyed @p spec_key. */
-    std::string shardPath(const std::string &spec_key,
-                          std::size_t i) const;
-    std::string legacyCachePath(const PhaseSpec &spec) const;
+    std::string cachePath(const std::string &spec_key) const;
     std::string profilePath(const PhaseSpec &spec) const;
 
     std::vector<workload::Workload> suite_;
     std::string dataDir_;
-    std::size_t shards_;
     ThreadPool pool_;
 
     /** One trace per (phase × {warm, detail}) regardless of how
@@ -411,7 +342,6 @@ class EvalRepository
     std::uint64_t hits_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     std::uint64_t loaded_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     std::uint64_t flushed_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
-    std::uint64_t migrated_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     std::uint64_t dropped_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     double simSeconds_ ADAPTSIM_GUARDED_BY(mutex_) = 0.0;
 };

@@ -117,14 +117,13 @@ readDoubles(std::istringstream &in, std::vector<double> &out,
             std::size_t n)
 {
     out.clear();
-    out.reserve(n);
     std::string tok;
     for (std::size_t i = 0; i < n; ++i) {
         if (!(in >> tok))
             return false;
         char *end = nullptr;
         const double v = std::strtod(tok.c_str(), &end);
-        if (end == tok.c_str())
+        if (end == tok.c_str() || *end != '\0')
             return false;
         out.push_back(v);
     }
@@ -278,6 +277,23 @@ Surrogate::deserialize(const std::string &text, Surrogate &out)
     if (!(in >> dim >> samples >> folds >> nov) || dim == 0 ||
         folds == 0)
         return false;
+    // serialize() ends every line with '\n'; without it the text is a
+    // torn write.
+    if (text.back() != '\n')
+        return false;
+    // Each value is a token plus a separator, so the remaining text
+    // bounds how many can follow.  Reject counts it cannot hold
+    // before anything is sized from them.
+    const auto pos = in.tellg();
+    const std::size_t rest =
+        pos < 0 ? 0 : text.size() - static_cast<std::size_t>(pos);
+    const std::size_t max_values = rest / 2;
+    if (dim > max_values / 2)
+        return false;
+    // Weight vectors of dim + 1 values: primary, energy, the folds.
+    const std::size_t max_sets = (max_values - 2 * dim) / (dim + 1);
+    if (max_sets < 2 || folds > max_sets - 2)
+        return false;
 
     Surrogate s;
     s.dim_ = dim;
@@ -293,10 +309,11 @@ Surrogate::deserialize(const std::string &text, Surrogate &out)
         !readDoubles(in, s.primaryW_, dim + 1) ||
         !readDoubles(in, s.energyW_, dim + 1))
         return false;
-    s.foldW_.resize(folds);
-    for (auto &w : s.foldW_) {
+    for (std::size_t f = 0; f < folds; ++f) {
+        std::vector<double> w;
         if (!readDoubles(in, w, dim + 1))
             return false;
+        s.foldW_.push_back(std::move(w));
     }
     out = std::move(s);
     return true;

@@ -21,7 +21,7 @@ namespace adaptsim::sim
 class CycleLevelModel final : public PerfModel
 {
   public:
-    /** Reserved tag 0: pre-seam cache records stay valid. */
+    /** Reserved tag 0: the committed data/ store's records. */
     static constexpr std::uint64_t kCacheTag = 0;
 
     const char *name() const override { return "cycle"; }

@@ -127,8 +127,8 @@ class PerfModel
     /**
      * Stable tag mixed into eval-cache keys and persisted in .evc
      * records so results of different fidelities never collide.
-     * Tag 0 is reserved for the cycle-level reference model: records
-     * migrated from pre-seam cache files keep their validity.
+     * Tag 0 is reserved for the cycle-level reference model (every
+     * record in the committed data/ store carries it).
      */
     virtual std::uint64_t cacheTag() const = 0;
 
@@ -164,7 +164,7 @@ class PerfModel
      * @p budget caps how many ground-truth runs the caller is
      * willing to pay for (kUnlimitedRefinement when it has no
      * opinion; 0 when the batch is already trusted, e.g. a memoised
-     * gather or an all-cache-hit daemon batch).  Only consulted when
+     * gather).  Only consulted when
      * groundTruthModel() is non-null; default none.
      */
     static constexpr std::size_t kUnlimitedRefinement =

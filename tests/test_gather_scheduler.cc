@@ -11,11 +11,11 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 #include <vector>
 
 #include "common/serial.hh"
+#include "decoder_fuzz.hh"
 #include "harness/gather.hh"
 #include "harness/gather_scheduler.hh"
 #include "phase/bbv.hh"
@@ -203,27 +203,41 @@ TEST_F(GatherSchedulerTest, CorruptIndexIsDiscarded)
     const std::string path = dir_ + "/gather_memo.idx";
 
     {
-        std::ofstream out(path, std::ios::binary);
-        out << "not a memo index";
-    }
-    EXPECT_EQ(GatherScheduler(path).size(), 0u);
-
-    // A bit flip anywhere in a valid index trips the checksum.
-    {
         GatherScheduler writer(path);
         writer.record(makeSpec(), makeSig({1.0}), makeGathered(0.0));
         ASSERT_TRUE(writer.save());
     }
     ASSERT_EQ(GatherScheduler(path).size(), 1u);
-    std::string bytes = readFile(path);
-    ASSERT_FALSE(bytes.empty());
-    bytes[bytes.size() / 2] ^= 0x40;
-    {
-        std::ofstream out(path, std::ios::binary);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
-    EXPECT_EQ(GatherScheduler(path).size(), 0u);
+    const std::string good = readFile(path);
+    ASSERT_FALSE(good.empty());
+
+    // A version-1 (pre-chip) header, which is no longer read, with a
+    // valid checksum.
+    std::string v1 = good.substr(0, good.size() - 8);
+    v1.replace(8, 8, std::string("\x01\0\0\0\0\0\0\0", 8));
+    putU64(v1, fnv1a64(v1.data(), v1.size()));
+
+    // Garbage, the old version, every torn write and every bit flip
+    // are each discarded whole, and the index is rebuilt over them.
+    const auto expect_discarded = [&](const std::string &bytes,
+                                      const std::string &what) {
+        ASSERT_TRUE(atomicWriteFile(path, bytes));
+        GatherScheduler sched(path);
+        EXPECT_EQ(sched.size(), 0u) << what;
+        sched.record(makeSpec(), makeSig({1.0}), makeGathered(0.0));
+        ASSERT_TRUE(sched.save());
+        EXPECT_EQ(GatherScheduler(path).size(), 1u) << what;
+    };
+    expect_discarded("not a memo index", "garbage");
+    expect_discarded(v1, "version-1 header");
+    test::forEachTruncation(good, [&](const std::string &prefix) {
+        expect_discarded(prefix,
+                         "truncated to " + std::to_string(prefix.size()));
+    });
+    test::forEachBitFlip(good, [&](const std::string &bad,
+                                   std::size_t at) {
+        expect_discarded(bad, "bit flip in byte " + std::to_string(at));
+    });
 }
 
 TEST_F(GatherSchedulerTest, RecognisedPhaseReusesCharacterisation)

@@ -216,14 +216,14 @@ TEST(Lint, MutexAnnotatedFlagsRawSyncDeclarations)
     EXPECT_EQ(d[0].rule, "mutex-annotated");
     EXPECT_EQ(d[0].line, 1u);
 
-    EXPECT_EQ(lint("src/svc/x.hh",
+    EXPECT_EQ(lint("src/harness/x.hh",
                    "#pragma once\nstd::shared_mutex rw_;\n")[0]
                   .rule,
               "mutex-annotated");
     EXPECT_EQ(
-        lint("src/svc/x.cc", "std::condition_variable cv_;\n")[0].rule,
+        lint("src/harness/x.cc", "std::condition_variable cv_;\n")[0].rule,
         "mutex-annotated");
-    EXPECT_EQ(lint("src/svc/x.cc",
+    EXPECT_EQ(lint("src/harness/x.cc",
                    "std::condition_variable_any cv_;\n")[0]
                   .rule,
               "mutex-annotated");

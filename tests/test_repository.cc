@@ -10,10 +10,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <thread>
 
 #include "common/rng.hh"
 #include "common/serial.hh"
+#include "decoder_fuzz.hh"
 #include "counters/feature_vector.hh"
 #include "harness/gather.hh"
 #include "harness/learned_trainer.hh"
@@ -57,21 +59,6 @@ class RepositoryTest : public ::testing::Test
     binPath() const
     {
         return dir_ + "/" + spec().key() + ".evc";
-    }
-
-    std::string
-    csvPath() const
-    {
-        return dir_ + "/" + spec().key() + ".csv";
-    }
-
-    std::string
-    shardFile(std::size_t i) const
-    {
-        if (i == 0)
-            return binPath();
-        return dir_ + "/" + spec().key() + ".s" +
-               std::to_string(i) + ".evc";
     }
 
     std::string dir_;
@@ -264,145 +251,83 @@ TEST_F(RepositoryTest, InterruptedFlushKeepsCompletedRecords)
     EXPECT_EQ(s.dropped, 2u);   // corrupt record + torn tail
 }
 
-TEST_F(RepositoryTest, ShardedStoreRoundTripsAcrossRestart)
+TEST_F(RepositoryTest, DamagedRecordsAreNeverServed)
 {
-    Rng rng(31);
+    // Fuzz the .evc decoder with a three-record store: every torn
+    // write and every single-bit flip must load exactly the records
+    // whose bytes are intact and re-simulate only the others.
+    const auto suite = workload::specSuite(60000);
+    const PhaseSpec small{"gzip", 60000, 20000, 0, 200};
+    Rng rng(53);
     const auto configs =
-        space::dedupe(space::uniformRandomSet(rng, 12));
+        space::dedupe(space::uniformRandomSet(rng, 3));
+    ASSERT_EQ(configs.size(), 3u);
     std::vector<EvalRecord> fresh;
     {
-        EvalRepository repo(workload::specSuite(60000), dir_, 2, 4);
-        ASSERT_EQ(repo.shards(), 4u);
-        fresh = repo.evaluateBatch(spec(), configs);
-        repo.flush();
+        EvalRepository repo(suite, dir_, 1);
+        for (const auto &cfg : configs)
+            fresh.push_back(repo.evaluate(small, cfg));
     }
+    const std::string path = dir_ + "/" + small.key() + ".evc";
+    const std::string good = readFile(path);
+    constexpr std::size_t kHeader = 24, kRecord = 88;
+    ASSERT_EQ(good.size(), kHeader + 3 * kRecord);
 
-    // Twelve hash-spread records land in more than one shard file.
-    std::size_t shard_files = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-        if (std::filesystem::exists(shardFile(i)))
-            ++shard_files;
-    EXPECT_GE(shard_files, 2u);
-
-    EvalRepository repo(workload::specSuite(60000), dir_, 0, 4);
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        EXPECT_TRUE(
-            bitIdentical(repo.evaluate(spec(), configs[i]),
-                         fresh[i]));
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.stats().loaded, configs.size());
-}
-
-TEST_F(RepositoryTest, ReshardingAdoptsAndRewritesTheStore)
-{
-    Rng rng(37);
-    const auto configs =
-        space::dedupe(space::uniformRandomSet(rng, 10));
-    std::vector<EvalRecord> fresh;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 2, 4);
-        fresh = repo.evaluateBatch(spec(), configs);
-        repo.flush();
-    }
-    {
-        // Reopened under a different shard count: the old layout is
-        // adopted wholesale — no record is lost or re-simulated...
-        EvalRepository repo(workload::specSuite(60000), dir_, 0, 2);
+    const auto expect_recovery = [&](const std::string &bytes,
+                                     std::size_t intact,
+                                     const std::string &what) {
+        ASSERT_TRUE(atomicWriteFile(path, bytes));
+        EvalRepository repo(suite, dir_, 1);
         for (std::size_t i = 0; i < configs.size(); ++i)
-            EXPECT_TRUE(
-                bitIdentical(repo.evaluate(spec(), configs[i]),
-                             fresh[i]));
-        EXPECT_EQ(repo.simulationsRun(), 0u);
-        // ...and the next flush rewrites the two-shard layout,
-        // deleting the stray files of the old four-shard one.
-        repo.flush();
-    }
-    EXPECT_FALSE(std::filesystem::exists(shardFile(2)));
-    EXPECT_FALSE(std::filesystem::exists(shardFile(3)));
-
-    EvalRepository repo(workload::specSuite(60000), dir_, 0, 2);
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        EXPECT_TRUE(
-            bitIdentical(repo.evaluate(spec(), configs[i]),
-                         fresh[i]));
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.stats().loaded, configs.size());
+            EXPECT_TRUE(bitIdentical(repo.evaluate(small, configs[i]),
+                                     fresh[i]))
+                << what;
+        EXPECT_EQ(repo.stats().loaded, intact) << what;
+        EXPECT_EQ(repo.simulationsRun(), configs.size() - intact)
+            << what;
+    };
+    test::forEachTruncation(good, [&](const std::string &prefix) {
+        const std::size_t n = prefix.size();
+        expect_recovery(prefix, n < kHeader ? 0 : (n - kHeader) / kRecord,
+                        "truncated to " + std::to_string(n));
+    });
+    test::forEachBitFlip(good, [&](const std::string &bad,
+                                   std::size_t at) {
+        expect_recovery(bad, at < kHeader ? 0 : 2,
+                        "bit flip in byte " + std::to_string(at));
+    });
 }
 
-TEST_F(RepositoryTest, ShardTornTailOnlyCostsTheTornRecords)
-{
-    Rng rng(41);
-    const auto configs =
-        space::dedupe(space::uniformRandomSet(rng, 9));
-    std::vector<EvalRecord> fresh;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 2, 3);
-        fresh = repo.evaluateBatch(spec(), configs);
-        repo.flush();
-    }
-
-    // Simulate a daemon killed mid-append on one shard: a full-size
-    // garbage record (checksum cannot match) plus a torn partial
-    // record on the same file's tail.
-    std::string victim;
-    for (std::size_t i = 0; i < 3; ++i)
-        if (std::filesystem::exists(shardFile(i)))
-            victim = shardFile(i);
-    ASSERT_FALSE(victim.empty());
-    ASSERT_TRUE(appendFileSync(victim, std::string(88, '\xcd')));
-    ASSERT_TRUE(appendFileSync(victim, "torn"));
-
-    EvalRepository repo(workload::specSuite(60000), dir_, 0, 3);
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        EXPECT_TRUE(
-            bitIdentical(repo.evaluate(spec(), configs[i]),
-                         fresh[i]));
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.stats().loaded, configs.size());
-    EXPECT_EQ(repo.stats().dropped, 2u);
-}
-
-TEST_F(RepositoryTest, FlushEveryIsAccountedPerShard)
+TEST_F(RepositoryTest, FlushEveryIsAccountedPerPhase)
 {
     const auto &cycle = sim::perfModel("cycle");
-    EvalRepository repo(workload::specSuite(60000), dir_, 0, 2);
+    EvalRepository repo(workload::specSuite(60000), dir_, 0);
     repo.setFlushEvery(2);
+    PhaseSpec other = spec();
+    other.startInst += 5000;
 
-    // Replicate the repository's shard routing to pick two configs
-    // on shard 0 and one on shard 1 (any seed works; the routing is
-    // a pure function of the cache key).
     Rng rng(43);
-    const auto pool =
-        space::dedupe(space::uniformRandomSet(rng, 40));
-    const auto shard_of = [&](const space::Configuration &c) {
-        return EvalKeyHash{}(
-                   EvalKey{cycle.cacheTag(), c.encode()}) %
-               repo.shards();
-    };
-    std::vector<space::Configuration> on0, on1;
-    for (const auto &cfg : pool)
-        (shard_of(cfg) == 0 ? on0 : on1).push_back(cfg);
-    ASSERT_GE(on0.size(), 2u);
-    ASSERT_GE(on1.size(), 1u);
+    const auto configs =
+        space::dedupe(space::uniformRandomSet(rng, 5));
+    ASSERT_GE(configs.size(), 5u);
 
-    // Two unsaved records split across the two shards must NOT
-    // trigger a flush — the threshold is per shard, not global.
-    (void)repo.evaluate(spec(), on0[0], &cycle);
-    (void)repo.evaluate(spec(), on1[0], &cycle);
+    // Two unsaved records split across two phases must NOT trigger
+    // a flush — the threshold is per phase, not global.
+    (void)repo.evaluate(spec(), configs[0], &cycle);
+    (void)repo.evaluate(other, configs[1], &cycle);
     EXPECT_EQ(repo.stats().flushed, 0u);
 
-    // A second record on shard 0 reaches its threshold; the first
-    // flush persists everything pending (it must also create the
-    // shard files), so all three records hit disk.
-    (void)repo.evaluate(spec(), on0[1], &cycle);
+    // A second record on the first phase reaches its threshold; the
+    // first flush persists everything pending (it must also create
+    // the files), so all three records hit disk.
+    (void)repo.evaluate(spec(), configs[2], &cycle);
     EXPECT_EQ(repo.stats().flushed, 3u);
 
     // With the files in place, the append fast path flushes only the
-    // shard that filled up.
-    ASSERT_GE(on0.size(), 4u);
-    (void)repo.evaluate(spec(), on0[2], &cycle);
+    // phase that filled up.
+    (void)repo.evaluate(spec(), configs[3], &cycle);
     EXPECT_EQ(repo.stats().flushed, 3u);
-    (void)repo.evaluate(spec(), on0[3], &cycle);
+    (void)repo.evaluate(spec(), configs[4], &cycle);
     EXPECT_EQ(repo.stats().flushed, 5u);
 }
 
@@ -429,52 +354,6 @@ TEST_F(RepositoryTest, CorruptHeaderRegeneratesCache)
     EvalRepository repo2(workload::specSuite(60000), dir_, 0);
     (void)repo2.evaluate(spec(), paperBaselineConfig());
     EXPECT_EQ(repo2.simulationsRun(), 0u);
-}
-
-TEST_F(RepositoryTest, LegacyCsvIsMigratedToExactFormat)
-{
-    const std::uint64_t code = paperBaselineConfig().encode();
-    std::filesystem::create_directories(dir_);
-    std::ofstream(csvPath())
-        << code << ",100,1500,0.5,0.25,1.5,2.5,42\n";
-
-    EvalRepository repo(workload::specSuite(60000), dir_, 0);
-    const auto r = repo.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.cacheHits(), 1u);
-    EXPECT_EQ(r.efficiency, 42.0);
-    EXPECT_EQ(repo.stats().migrated, 1u);
-
-    repo.flush();
-    EXPECT_TRUE(std::filesystem::exists(binPath()));
-    EXPECT_FALSE(std::filesystem::exists(csvPath()));
-
-    // The migrated record survives in the new format, bit-exact.
-    EvalRepository repo2(workload::specSuite(60000), dir_, 0);
-    const auto again =
-        repo2.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_TRUE(bitIdentical(r, again));
-}
-
-TEST_F(RepositoryTest, MalformedLegacyLinesAreDroppedIndividually)
-{
-    Rng rng(3);
-    const auto configs = space::uniformRandomSet(rng, 2);
-    std::filesystem::create_directories(dir_);
-    std::ofstream(csvPath())
-        << configs[0].encode() << ",1,2,3,4,5,6,7\n"
-        << "garbled nonsense, not numbers\n"
-        << configs[1].encode() << ",7,6,5,4,3,2,1\n";
-
-    EvalRepository repo(workload::specSuite(60000), dir_, 0);
-    // Both well-formed records load — including the one *after* the
-    // malformed line — and only the bad line is dropped.
-    EXPECT_EQ(repo.evaluate(spec(), configs[0]).efficiency, 7.0);
-    EXPECT_EQ(repo.evaluate(spec(), configs[1]).efficiency, 1.0);
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.stats().dropped, 1u);
-    EXPECT_EQ(repo.stats().migrated, 2u);
 }
 
 TEST_F(RepositoryTest, ConcurrentGathersShareOneRepository)
@@ -586,128 +465,38 @@ TEST_F(RepositoryTest, UnknownWorkloadIsFatal)
                 ::testing::ExitedWithCode(1), "unknown workload");
 }
 
-namespace
+TEST_F(RepositoryTest, OtherFormatVersionIsRegenerated)
 {
-
-/** Hand-built format-1 cache image: 24-byte header (version 1) plus
- *  one 72-byte record without a backend tag. */
-std::string
-v1CacheImage(std::uint64_t code, const EvalRecord &r)
-{
-    std::string bytes("ADSIMEVC", 8);
-    putU64(bytes, 1);
-    putU64(bytes, fnv1a64(bytes.data(), 16));
-    const std::size_t start = bytes.size();
-    putU64(bytes, code);
-    putDouble(bytes, r.cycles);
-    putDouble(bytes, r.instructions);
-    putDouble(bytes, r.seconds);
-    putDouble(bytes, r.joules);
-    putDouble(bytes, r.ipc);
-    putDouble(bytes, r.watts);
-    putDouble(bytes, r.efficiency);
-    putU64(bytes, fnv1a64(bytes.data() + start, 64));
-    return bytes;
-}
-
-} // namespace
-
-TEST_F(RepositoryTest, V1BinaryCacheIsMigratedAsCycleLevel)
-{
-    // A pre-seam (version-1) cache file: its records were produced
-    // by the only backend that existed then, so migration must tag
-    // them cycle-level and serve them to cycle-backend evaluations.
-    const EvalRecord fake{100.0, 1500.0, 0.5, 0.25, 1.5, 2.5, 42.0};
-    const std::uint64_t code = paperBaselineConfig().encode();
+    // A well-formed header of any version but the current one (here
+    // the retired version 2) is ignored, and the next flush replaces
+    // the file with a current-format one.
+    std::string old("ADSIMEVC", 8);
+    putU64(old, 2);
+    putU64(old, fnv1a64(old.data(), 16));
     std::filesystem::create_directories(dir_);
-    ASSERT_TRUE(
-        atomicWriteFile(binPath(), v1CacheImage(code, fake)));
+    ASSERT_TRUE(atomicWriteFile(binPath(), old));
 
-    EvalRecord served;
+    EvalRecord fresh;
     {
         EvalRepository repo(workload::specSuite(60000), dir_, 0);
-        served = repo.evaluate(spec(), paperBaselineConfig());
-        EXPECT_EQ(repo.simulationsRun(), 0u);
-        EXPECT_EQ(repo.cacheHits(), 1u);
-        EXPECT_TRUE(bitIdentical(served, fake));
-        EXPECT_EQ(repo.stats().migrated, 1u);
-        repo.flush();
+        fresh = repo.evaluate(spec(), paperBaselineConfig());
+        EXPECT_EQ(repo.simulationsRun(), 1u);
     }
-
-    // The flush rewrote the file in the current format...
     const auto bytes = readFile(binPath());
     ASSERT_GE(bytes.size(), 24u);
     EXPECT_EQ(getU64(bytes.data() + 8), 3u);
 
-    // ...and the record round-trips bit-exactly through it.
-    EvalRepository repo2(workload::specSuite(60000), dir_, 0);
-    const auto again = repo2.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_EQ(repo2.stats().migrated, 0u);
-    EXPECT_TRUE(bitIdentical(again, fake));
+    EvalRepository repo(workload::specSuite(60000), dir_, 0);
+    EXPECT_TRUE(bitIdentical(
+        repo.evaluate(spec(), paperBaselineConfig()), fresh));
+    EXPECT_EQ(repo.simulationsRun(), 0u);
 }
 
-namespace
+TEST_F(RepositoryTest, MoreThanOneFilePerPhaseIsFatal)
 {
-
-/** Hand-built format-2 cache image: 24-byte header (version 2) plus
- *  one 80-byte record without a chip-mix word. */
-std::string
-v2CacheImage(std::uint64_t tag, std::uint64_t code,
-             const EvalRecord &r)
-{
-    std::string bytes("ADSIMEVC", 8);
-    putU64(bytes, 2);
-    putU64(bytes, fnv1a64(bytes.data(), 16));
-    const std::size_t start = bytes.size();
-    putU64(bytes, code);
-    putU64(bytes, tag);
-    putDouble(bytes, r.cycles);
-    putDouble(bytes, r.instructions);
-    putDouble(bytes, r.seconds);
-    putDouble(bytes, r.joules);
-    putDouble(bytes, r.ipc);
-    putDouble(bytes, r.watts);
-    putDouble(bytes, r.efficiency);
-    putU64(bytes, fnv1a64(bytes.data() + start, 72));
-    return bytes;
-}
-
-} // namespace
-
-TEST_F(RepositoryTest, V2BinaryCacheIsMigratedAsSoloChip)
-{
-    // A pre-chip (version-2) cache file: every record in it was a
-    // solo single-core run, so migration keeps the backend tag and
-    // assigns chip key 0 — exactly what solo evaluations look up.
-    const EvalRecord fake{200.0, 1500.0, 0.4, 0.3, 1.2, 2.0, 37.0};
-    const std::uint64_t code = paperBaselineConfig().encode();
-    std::filesystem::create_directories(dir_);
-    ASSERT_TRUE(atomicWriteFile(
-        binPath(),
-        v2CacheImage(sim::CycleLevelModel::kCacheTag, code, fake)));
-
-    EvalRecord served;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 0);
-        served = repo.evaluate(spec(), paperBaselineConfig());
-        EXPECT_EQ(repo.simulationsRun(), 0u);
-        EXPECT_EQ(repo.cacheHits(), 1u);
-        EXPECT_TRUE(bitIdentical(served, fake));
-        EXPECT_EQ(repo.stats().migrated, 1u);
-        repo.flush();
-    }
-
-    // The flush rewrote the file as version 3, and the record
-    // round-trips bit-exactly through the new format.
-    const auto bytes = readFile(binPath());
-    ASSERT_GE(bytes.size(), 24u);
-    EXPECT_EQ(getU64(bytes.data() + 8), 3u);
-    EvalRepository repo2(workload::specSuite(60000), dir_, 0);
-    const auto again = repo2.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_EQ(repo2.stats().migrated, 0u);
-    EXPECT_TRUE(bitIdentical(again, fake));
+    EvalRepository one(workload::specSuite(60000), dir_, 0, 1);
+    EXPECT_EXIT(EvalRepository(workload::specSuite(60000), dir_, 0, 2),
+                ::testing::ExitedWithCode(1), "shard count 2");
 }
 
 TEST_F(RepositoryTest, ChipMixRecordsNeverAnswerSoloLookups)
@@ -990,4 +779,51 @@ TEST_F(RepositoryTest, ZeroLengthDetailWindowYieldsFiniteRecord)
             EXPECT_GE(v, 0.0) << name;
         }
     }
+}
+
+TEST(CommittedData, LoadsWholeAtTheCurrentFormat)
+{
+    // The committed data/ store seeds every bench.  A format change
+    // that stopped it loading would silently re-simulate all of it,
+    // so this fails instead.  Work on a copy so no test can touch
+    // tracked files.
+    namespace fs = std::filesystem;
+    const std::string dir = "/tmp/adaptsim_committed_data_test";
+    fs::remove_all(dir);
+    fs::copy(ADAPTSIM_SOURCE_DATA_DIR, dir, fs::copy_options::recursive);
+
+    const std::regex stem_re("(.+)_L([0-9]+)_s([0-9]+)_w([0-9]+)_d([0-9]+)");
+    std::vector<PhaseSpec> stores, profiles;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        const std::string ext = entry.path().extension();
+        if (ext != ".evc" && ext != ".features")
+            continue;
+        const std::string stem = entry.path().stem();
+        std::smatch m;
+        ASSERT_TRUE(std::regex_match(stem, m, stem_re)) << stem;
+        const PhaseSpec spec{m[1], std::stoull(m[2]), std::stoull(m[3]),
+                             std::stoull(m[4]), std::stoull(m[5])};
+        ASSERT_EQ(spec.key(), stem);
+        (ext == ".evc" ? stores : profiles).push_back(spec);
+    }
+    EXPECT_EQ(stores.size(), 346u);
+    EXPECT_EQ(profiles.size(), 285u);
+
+    EvalRepository repo(workload::specSuite(400000), dir, 1);
+    std::size_t solo_cycle = 0;
+    for (const auto &spec : stores)
+        solo_cycle +=
+            repo.records(spec, sim::CycleLevelModel::kCacheTag).size();
+    const auto stats = repo.stats();
+    EXPECT_EQ(stats.dropped, 0u);
+    EXPECT_EQ(stats.loaded, 50800u);
+    // Every record is a solo (chip key 0) cycle-level (tag 0) one.
+    EXPECT_EQ(solo_cycle, stats.loaded);
+
+    // Every profile parses at the expected feature dimensions; one
+    // that did not would be re-simulated.
+    for (const auto &spec : profiles)
+        (void)repo.profile(spec);
+    EXPECT_EQ(repo.simulationsRun(), 0u);
+    fs::remove_all(dir);
 }

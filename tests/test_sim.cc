@@ -115,8 +115,8 @@ TEST(Sim, RegistryHasBuiltins)
     EXPECT_STREQ(cycle.name(), "cycle");
     EXPECT_EQ(cycle.fidelity(), sim::Fidelity::CycleLevel);
     EXPECT_TRUE(cycle.supportsObservers());
-    // Tag 0 is the pre-seam reference model: migrated v1 cache
-    // records stay valid for exactly this backend.
+    // Tag 0 is the reference model: the committed data/ store's
+    // records are valid for exactly this backend.
     EXPECT_EQ(cycle.cacheTag(), 0u);
 
     const auto &interval = sim::perfModel("interval");

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "decoder_fuzz.hh"
 #include "ml/surrogate.hh"
 
 using namespace adaptsim;
@@ -108,6 +109,34 @@ TEST(Surrogate, DeserializeRejectsMalformedInput)
     // Truncated body: header parses, weights missing.
     EXPECT_FALSE(ml::Surrogate::deserialize(
         "adaptsim-surrogate 1\n3 10 4 0x1p-4\n1 2 3\n", out));
+}
+
+TEST(Surrogate, HugeCountsAreRejectedWithoutThrowing)
+{
+    // dim and folds come from the file; neither may size anything
+    // before the values behind them have been read.
+    ml::Surrogate out;
+    EXPECT_NO_THROW(EXPECT_FALSE(ml::Surrogate::deserialize(
+        "adaptsim-surrogate 1 4000000000000000000 1 1 0x0p+0", out)));
+    EXPECT_NO_THROW(EXPECT_FALSE(ml::Surrogate::deserialize(
+        "adaptsim-surrogate 1\n1 1 4000000000000000000 0x0p+0\n"
+        "0\n1\n0 0\n0 0\n",
+        out)));
+}
+
+TEST(Surrogate, EveryTruncationIsRejected)
+{
+    const auto x = makeFeatures(32);
+    const auto y = linearTargets(x);
+    const std::vector<double> energy(x.rows(), 3e-10);
+    const std::string text =
+        ml::Surrogate::fit(x, y, energy).serialize();
+    test::forEachTruncation(text, [](const std::string &prefix) {
+        ml::Surrogate out;
+        EXPECT_NO_THROW(
+            EXPECT_FALSE(ml::Surrogate::deserialize(prefix, out))
+            << "truncated to " << prefix.size());
+    });
 }
 
 TEST(Surrogate, UncertaintyGrowsOffDistribution)

@@ -223,8 +223,7 @@ classify(const std::string &path)
                             startsWith(path, "src/phase/") ||
                             startsWith(path, "src/sim/") ||
                             startsWith(path, "src/harness/") ||
-                            startsWith(path, "src/control/") ||
-                            startsWith(path, "src/svc/");
+                            startsWith(path, "src/control/");
     fc.envExempt = path == "src/common/env.cc";
     fc.loggingExempt = path == "src/common/logging.hh" ||
                        startsWith(path, "tools/lint/");
