@@ -140,18 +140,6 @@ backendName()
     return envString("ADAPTSIM_BACKEND", "cycle");
 }
 
-double
-cascadeThreshold()
-{
-    return envDouble("ADAPTSIM_CASCADE_THRESHOLD", 0.08);
-}
-
-std::string
-surrogatePath()
-{
-    return envString("ADAPTSIM_SURROGATE", "");
-}
-
 bool
 cycleTraceEnabled()
 {

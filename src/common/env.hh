@@ -59,18 +59,8 @@ bool cycleTraceEnabled();
 std::string traceFile();
 
 /** ADAPTSIM_BACKEND: default performance-model backend name
- *  ("cycle" when unset; see src/sim/perf_model.hh). */
+ *  ("cycle" when unset, or "interval"; see src/sim/perf_model.hh). */
 std::string backendName();
-
-/** ADAPTSIM_CASCADE_THRESHOLD: uncertainty (estimated absolute IPC
- *  error) above which the "cascade" backend escalates a prediction
- *  to cycle-level ground truth (default 0.08; negative forces
- *  escalation of everything). */
-double cascadeThreshold();
-
-/** ADAPTSIM_SURROGATE: path to fitted learned-backend weights
- *  (saveLearnedSurrogate() format); empty when unset. */
-std::string surrogatePath();
 
 /** ADAPTSIM_GATHER_MEMO: phase-memoised gather scheduling.  Truthy
  *  (default) lets gathers recognise previously characterised phases

@@ -33,8 +33,6 @@ AdaptiveController::runInterval(sim::CoreSession &session,
                                 RunStats &stats)
 {
     const auto result = backend_.run(session, trace, observer);
-    // metricsFor lets backends without event-level structure (the
-    // learned surrogate, possibly via the cascade) report energy.
     const auto m = session.metricsFor(result);
     stats.seconds += m.seconds;
     stats.joules += m.joules;

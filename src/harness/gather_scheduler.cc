@@ -86,7 +86,6 @@ GatherScheduler::optionsFromEnv()
     Options opt;
     opt.threshold = gatherMemoThreshold();
     opt.tolerance = gatherMemoTolerance();
-    opt.uncertaintyThreshold = cascadeThreshold();
     opt.probes = gatherMemoProbes();
     return opt;
 }

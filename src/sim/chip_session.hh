@@ -9,15 +9,15 @@
  *
  *   - The cycle backend overrides it with a session wrapping
  *     uarch::Chip — the detailed shared-LLC contention model.
- *   - Every other backend gets the ProxyChipSession defined here: a
+ *   - The interval backend gets the ProxyChipSession defined here: a
  *     functional (untimed-clock) replay of the mix through real
  *     private tag stacks and a real SharedLlc measures each core's
  *     interference features (LLC occupancy share, shared-miss
  *     ratio, queue delay), which are folded into an *effective*
  *     per-core memory latency; the backend's own CoreSessions then
- *     run per core with that latency.  Analytical and learned
- *     backends thus consume the interference features without
- *     needing a cycle-accurate multi-core loop.
+ *     run per core with that latency.  The interval backend thus
+ *     sees the interference without a cycle-accurate multi-core
+ *     loop.
  *
  * A single-core chip bypasses all of this and delegates straight to
  * the backend's CoreSession — bit-identical to the pre-chip seam.

@@ -1,18 +1,10 @@
 #include "sim/perf_model.hh"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
-
-#include "common/sync.hh"
-
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
-#include "sim/cascade_model.hh"
 #include "sim/cycle_level_model.hh"
 #include "sim/interval_model.hh"
-#include "sim/learned_model.hh"
 
 namespace adaptsim::sim
 {
@@ -20,121 +12,55 @@ namespace adaptsim::sim
 namespace
 {
 
-/** Registry state: name -> backend, plus per-backend telemetry
- *  handles resolved once at registration.  An ordered map keeps
- *  perfModelNames() (and the unknown-name error message) sorted. */
-struct RegistryEntry
-{
-    std::unique_ptr<PerfModel> model;
 #if ADAPTSIM_OBS_ENABLED
-    std::string spanName;            ///< "sim/run/<name>"
-    obs::Counter *evals = nullptr;   ///< "backend/<name>/evals"
-    obs::Histogram *runHist = nullptr;
+/** One backend's run telemetry: the "backend/<name>/evals" counter
+ *  and the "sim/run/<name>" span histogram, resolved once. */
+struct RunTelemetry
+{
+    explicit RunTelemetry(const PerfModel &model)
+        : spanName(std::string("sim/run/") + model.name()),
+          evals(obs::Registry::global().counter(
+              std::string("backend/") + model.name() + "/evals")),
+          hist(obs::spanHistogram(spanName.c_str()))
+    {
+    }
+
+    const std::string spanName;
+    obs::Counter &evals;
+    obs::Histogram &hist;
+};
+#endif
+
+/** The two backends and their telemetry, built on first use. */
+struct Backends
+{
+    CycleLevelModel cycle;
+    IntervalModel interval;
+#if ADAPTSIM_OBS_ENABLED
+    RunTelemetry cycleRuns{cycle};
+    RunTelemetry intervalRuns{interval};
 #endif
 };
 
-struct ModelRegistry
+const Backends &
+backends()
 {
-    Mutex mutex;
-    std::map<std::string, RegistryEntry> entries
-        ADAPTSIM_GUARDED_BY(mutex);
-};
-
-ModelRegistry &
-registry()
-{
-    static ModelRegistry r;
-    return r;
-}
-
-void
-registerLocked(ModelRegistry &r, std::unique_ptr<PerfModel> model)
-    ADAPTSIM_REQUIRES(r.mutex)
-{
-    const std::string name = model->name();
-    RegistryEntry entry;
-    entry.model = std::move(model);
-#if ADAPTSIM_OBS_ENABLED
-    entry.spanName = "sim/run/" + name;
-    entry.evals = &obs::Registry::global().counter(
-        "backend/" + name + "/evals");
-    entry.runHist = &obs::spanHistogram(entry.spanName.c_str());
-#endif
-    if (!r.entries.emplace(name, std::move(entry)).second)
-        fatal("perf-model backend registered twice: ", name);
-}
-
-/**
- * Built-in registration is lazy (first registry access) rather than
- * via static initializers: adaptsim is a static library, and nothing
- * guarantees a dedicated registration TU's initializers survive
- * linking into a binary that never names its symbols.
- */
-void
-ensureBuiltins(ModelRegistry &r)
-{
-    static std::once_flag once;
-    std::call_once(once, [&r]() {
-        MutexLock lock(r.mutex);
-        registerLocked(r, std::make_unique<CycleLevelModel>());
-        registerLocked(r, std::make_unique<IntervalModel>());
-        registerLocked(r, std::make_unique<LearnedModel>());
-        registerLocked(r, std::make_unique<CascadeModel>());
-    });
-}
-
-const RegistryEntry *
-findEntry(const std::string &name)
-{
-    ModelRegistry &r = registry();
-    ensureBuiltins(r);
-    MutexLock lock(r.mutex);
-    const auto it = r.entries.find(name);
-    return it == r.entries.end() ? nullptr : &it->second;
+    static const Backends b;
+    return b;
 }
 
 } // namespace
 
-const char *
-fidelityName(Fidelity f)
-{
-    switch (f) {
-      case Fidelity::CycleLevel:
-        return "cycle-level";
-      case Fidelity::Analytical:
-        return "analytical";
-      case Fidelity::Learned:
-        return "learned";
-    }
-    return "unknown";
-}
-
-void
-registerPerfModel(std::unique_ptr<PerfModel> model)
-{
-    ModelRegistry &r = registry();
-    ensureBuiltins(r);
-    MutexLock lock(r.mutex);
-    registerLocked(r, std::move(model));
-}
-
-const PerfModel *
-findPerfModel(const std::string &name)
-{
-    const RegistryEntry *entry = findEntry(name);
-    return entry ? entry->model.get() : nullptr;
-}
-
 const PerfModel &
 perfModel(const std::string &name)
 {
-    if (const PerfModel *model = findPerfModel(name))
-        return *model;
-    std::string known;
-    for (const auto &n : perfModelNames())
-        known += (known.empty() ? "" : ", ") + n;
-    fatal("unknown perf-model backend \"", name, "\" (registered: ",
-          known, "); check ADAPTSIM_BACKEND");
+    const Backends &b = backends();
+    if (name == b.cycle.name())
+        return b.cycle;
+    if (name == b.interval.name())
+        return b.interval;
+    fatal("unknown perf-model backend \"", name,
+          "\" (known: cycle, interval); check ADAPTSIM_BACKEND");
 }
 
 const PerfModel &
@@ -143,35 +69,18 @@ defaultPerfModel()
     return perfModel(backendName());
 }
 
-std::vector<std::string>
-perfModelNames()
-{
-    ModelRegistry &r = registry();
-    ensureBuiltins(r);
-    MutexLock lock(r.mutex);
-    std::vector<std::string> names;
-    names.reserve(r.entries.size());
-    for (const auto &[name, entry] : r.entries)
-        names.push_back(name);
-    return names;
-}
-
 uarch::SimResult
 PerfModel::run(CoreSession &session,
                std::span<const isa::MicroOp> trace,
                uarch::SimObserver *observer) const
 {
 #if ADAPTSIM_OBS_ENABLED
-    // The registry entry owns the stable span-name string and the
-    // counter/histogram handles; entries are never removed, so the
-    // pointer is valid for the process lifetime.
-    const RegistryEntry *entry = findEntry(name());
-    if (entry != nullptr) {
-        entry->evals->add(1);
-        obs::ScopedSpan span(entry->spanName.c_str(),
-                             *entry->runHist);
-        return session.run(trace, observer);
-    }
+    const Backends &b = backends();
+    const RunTelemetry &t = cacheTag() == CycleLevelModel::kCacheTag
+                                ? b.cycleRuns
+                                : b.intervalRuns;
+    t.evals.add(1);
+    obs::ScopedSpan span(t.spanName.c_str(), t.hist);
 #endif
     return session.run(trace, observer);
 }

@@ -1,16 +1,14 @@
 /**
  * @file
- * The pluggable performance-model seam.
+ * The performance-model seam.
  *
  * Every layer that needs "simulate this trace on this configuration"
  * — the evaluation repository, the runtime controller, the benches —
  * goes through the abstract PerfModel interface instead of
- * constructing the cycle-level uarch::Core directly.  Backends are
- * looked up by name in a process-wide registry; ADAPTSIM_BACKEND
- * selects the default (see common/env), and every entry point takes
- * a per-call override.
- *
- * Two backends ship built in:
+ * constructing the cycle-level uarch::Core directly.  Exactly two
+ * backends exist, looked up by name with perfModel();
+ * ADAPTSIM_BACKEND selects the default (see common/env), and every
+ * entry point takes a per-call override:
  *
  *   "cycle"     CycleLevelModel — the detailed out-of-order pipeline
  *               (uarch::Core), bit-identical to calling it directly.
@@ -20,9 +18,10 @@
  *               and prices the penalty events analytically.  No
  *               per-cycle loop, ≥10× faster, bounded IPC error.
  *
- * Results of different fidelities must never mix: each backend
- * carries a cacheTag() that the repository folds into its in-memory
- * keys and persists in every on-disk record (DESIGN.md §11).
+ * Results of the two backends never mix: each carries a cacheTag()
+ * that the repository folds into its in-memory keys and persists in
+ * every on-disk record, and a query is answered only by records
+ * under the asking backend's own tag (DESIGN.md §11).
  */
 
 #ifndef ADAPTSIM_SIM_PERF_MODEL_HH
@@ -43,18 +42,6 @@
 namespace adaptsim::sim
 {
 
-/** How faithful a backend's timing is. */
-enum class Fidelity
-{
-    CycleLevel,   ///< detailed cycle-by-cycle pipeline simulation
-    Analytical,   ///< event-driven analytical estimate
-    Learned       ///< statistical surrogate fit to cycle-level data
-};
-
-/** Human-readable fidelity name. */
-const char *fidelityName(Fidelity f);
-
-class PerfModel;
 class ChipSession;
 
 /**
@@ -83,50 +70,28 @@ class CoreSession
     /** The derived configuration this session was built from. */
     virtual const uarch::CoreConfig &config() const = 0;
 
-    /**
-     * Turn a run() result into full power/performance metrics.  The
-     * default derives everything from the synthesised event counts;
-     * backends that predict time/energy directly (the learned
-     * surrogate) override this so their energy estimate is not
-     * laundered through per-event energy accounting of events they
-     * never modelled.
-     */
-    virtual power::Metrics metricsFor(const uarch::SimResult &result)
+    /** Full power/performance metrics of a run() result, derived
+     *  from its event counts. */
+    power::Metrics metricsFor(const uarch::SimResult &result) const
     {
         return power::computeMetrics(config(), result.events);
     }
-
-    /**
-     * The backend that actually produced the most recent run()
-     * result, for policy backends that delegate (the cascade
-     * escalating to cycle-level).  nullptr means "the owning
-     * backend itself" — the common case.
-     */
-    virtual const PerfModel *lastProducer() const { return nullptr; }
-
-    /**
-     * Confidence of the most recent run() result, in IPC units
-     * (estimated absolute IPC error).  Exact backends report 0.
-     */
-    virtual double lastUncertainty() const { return 0.0; }
 };
 
 /** Abstract performance-model backend (stateless; sessions carry
- *  all mutable state, so one registered instance serves all
- *  threads concurrently). */
+ *  all mutable state, so one instance serves all threads
+ *  concurrently). */
 class PerfModel
 {
   public:
     virtual ~PerfModel() = default;
 
-    /** Registry key, e.g. "cycle" or "interval". */
+    /** Backend name: "cycle" or "interval". */
     virtual const char *name() const = 0;
-
-    virtual Fidelity fidelity() const = 0;
 
     /**
      * Stable tag mixed into eval-cache keys and persisted in .evc
-     * records so results of different fidelities never collide.
+     * records so the two backends' results never collide.
      * Tag 0 is reserved for the cycle-level reference model (every
      * record in the committed data/ store carries it).
      */
@@ -135,50 +100,6 @@ class PerfModel
     /** Whether run() drives SimObserver callbacks (per-cycle
      *  samples, cache/branch probes) — required for profiling. */
     virtual bool supportsObservers() const = 0;
-
-    /**
-     * Cache tags whose records may answer a query to this backend,
-     * probed in order.  The default is just cacheTag(); a policy
-     * backend widens this (the cascade accepts cycle-level ground
-     * truth — strictly better — before its own cheap records).
-     */
-    virtual std::vector<std::uint64_t> cacheLookupTags() const
-    {
-        return {cacheTag()};
-    }
-
-    /**
-     * The exact backend this one escalates to, or nullptr when
-     * results are final.  Non-null enables the repository's batch
-     * near-frontier refinement (see selectForRefinement).
-     */
-    virtual const PerfModel *groundTruthModel() const
-    {
-        return nullptr;
-    }
-
-    /**
-     * Pick indices of a finished batch (per-point efficiency in
-     * @p efficiency) worth re-evaluating at ground truth — the
-     * near-frontier points an adaptivity search will act on.
-     * @p budget caps how many ground-truth runs the caller is
-     * willing to pay for (kUnlimitedRefinement when it has no
-     * opinion; 0 when the batch is already trusted, e.g. a memoised
-     * gather).  Only consulted when
-     * groundTruthModel() is non-null; default none.
-     */
-    static constexpr std::size_t kUnlimitedRefinement =
-        ~std::size_t(0);
-
-    virtual void
-    selectForRefinement(const std::vector<double> &efficiency,
-                        std::size_t budget,
-                        std::vector<std::size_t> &out) const
-    {
-        (void)efficiency;
-        (void)budget;
-        (void)out;
-    }
 
     /** Create a fresh core session for @p cfg. */
     virtual std::unique_ptr<CoreSession>
@@ -222,26 +143,12 @@ class PerfModel
              std::span<const isa::MicroOp> detail_trace) const;
 };
 
-/**
- * Register a backend under model->name().  Registering a name twice
- * is fatal (built-ins "cycle" and "interval" are pre-registered).
- * Thread-safe; handles returned by perfModel() stay valid for the
- * process lifetime.
- */
-void registerPerfModel(std::unique_ptr<PerfModel> model);
-
-/** Backend by name; fatal on unknown names (message lists the
- *  registered ones). */
+/** Backend by name ("cycle" or "interval"); fatal on any other
+ *  name, since ADAPTSIM_BACKEND is outside input. */
 const PerfModel &perfModel(const std::string &name);
-
-/** Backend by name, or nullptr when unknown (never creates). */
-const PerfModel *findPerfModel(const std::string &name);
 
 /** The ADAPTSIM_BACKEND-selected default backend. */
 const PerfModel &defaultPerfModel();
-
-/** Sorted names of all registered backends. */
-std::vector<std::string> perfModelNames();
 
 } // namespace adaptsim::sim
 

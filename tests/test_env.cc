@@ -176,30 +176,6 @@ TEST(Env, BackendNameDefaultAndOverride)
     unsetenv("ADAPTSIM_BACKEND");
 }
 
-TEST(Env, CascadeThresholdDefaultAndOverride)
-{
-    unsetenv("ADAPTSIM_CASCADE_THRESHOLD");
-    EXPECT_EQ(cascadeThreshold(), 0.08);
-    setenv("ADAPTSIM_CASCADE_THRESHOLD", "0.25", 1);
-    EXPECT_EQ(cascadeThreshold(), 0.25);
-    // Negative values are legal: they force every cascade run to
-    // escalate (the bit-exactness escape hatch).
-    setenv("ADAPTSIM_CASCADE_THRESHOLD", "-1", 1);
-    EXPECT_EQ(cascadeThreshold(), -1.0);
-    setenv("ADAPTSIM_CASCADE_THRESHOLD", "garbage", 1);
-    EXPECT_EQ(cascadeThreshold(), 0.08);
-    unsetenv("ADAPTSIM_CASCADE_THRESHOLD");
-}
-
-TEST(Env, SurrogatePathDefaultsEmpty)
-{
-    unsetenv("ADAPTSIM_SURROGATE");
-    EXPECT_EQ(surrogatePath(), "");
-    setenv("ADAPTSIM_SURROGATE", "/tmp/weights.txt", 1);
-    EXPECT_EQ(surrogatePath(), "/tmp/weights.txt");
-    unsetenv("ADAPTSIM_SURROGATE");
-}
-
 TEST(Env, GatherMemoOnOffSwitch)
 {
     unsetenv("ADAPTSIM_GATHER_MEMO");

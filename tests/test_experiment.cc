@@ -1,14 +1,17 @@
 /**
  * @file
- * Miniature full-stack experiment test: suite → phases → gather →
- * baseline → LOOCV model results, all at a tiny scale with a
- * temporary cache directory.
+ * Full-stack experiment tests: a miniature suite → phases → gather →
+ * baseline → LOOCV run in a temporary cache directory, and the
+ * paper's Fig. 4 headline reproduced from a copy of the committed
+ * data/ store.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <vector>
 
+#include "common/stats.hh"
 #include "harness/experiment.hh"
 
 using namespace adaptsim;
@@ -91,4 +94,45 @@ TEST(Experiment, EndToEndTinyScale)
     }
 
     std::filesystem::remove_all(dir);
+}
+
+TEST(CommittedData, Fig4HeadlineIsFrozen)
+{
+    // The paper's headline result: Fig. 4's average efficiency of the
+    // LOOCV model over the best static configuration, regenerated
+    // from the committed store at full scale.  It must need no
+    // simulation and reproduce the frozen geomeans; a change to the
+    // simulator, gather, trainer or store that moves either figure
+    // fails here.  Work on a copy so no test can touch tracked files.
+    namespace fs = std::filesystem;
+    const std::string dir = "/tmp/adaptsim_fig4_frozen_test";
+    fs::remove_all(dir);
+    fs::copy(ADAPTSIM_SOURCE_DATA_DIR, dir, fs::copy_options::recursive);
+
+    ExperimentOptions opt;
+    opt.dataDir = dir;
+    opt.threads = 2;
+    opt.gather.memo = GatherOptions::MemoMode::On;
+    Experiment exp(opt);
+    const auto &basic = exp.modelResults(counters::FeatureSet::Basic);
+    const auto &advanced =
+        exp.modelResults(counters::FeatureSet::Advanced);
+    std::vector<double> basic_rel, advanced_rel;
+    for (const auto &[program, idxs] : exp.phasesByProgram()) {
+        basic_rel.push_back(exp.relativeEfficiency(
+            idxs, [&](std::size_t i) { return basic[i].efficiency; }));
+        advanced_rel.push_back(exp.relativeEfficiency(
+            idxs,
+            [&](std::size_t i) { return advanced[i].efficiency; }));
+    }
+    EXPECT_EQ(exp.repository().simulationsRun(), 0u);
+
+    // Frozen from the reference build: 1.34x advanced, 1.27x basic.
+    const double frozen_advanced = 1.341331339388016;
+    const double frozen_basic = 1.2730294144535839;
+    EXPECT_NEAR(geomean(advanced_rel), frozen_advanced,
+                1e-9 * frozen_advanced);
+    EXPECT_NEAR(geomean(basic_rel), frozen_basic, 1e-9 * frozen_basic);
+
+    fs::remove_all(dir);
 }

@@ -306,7 +306,7 @@ TEST_F(GatherSchedulerTest, RecognisedPhaseReusesCharacterisation)
     EXPECT_EQ(hashGather(third), hashGather(second));
 }
 
-TEST_F(GatherSchedulerTest, LowConfidenceHitsEscalate)
+TEST_F(GatherSchedulerTest, DriftBeyondToleranceEscalates)
 {
     constexpr std::uint64_t len = 60000;
     EvalRepository repo(workload::specSuite(len), dir_, 0);
@@ -325,35 +325,17 @@ TEST_F(GatherSchedulerTest, LowConfidenceHitsEscalate)
 
     // Negative tolerance escalates every recognised phase: the
     // gather re-characterises in full instead of trusting the memo.
-    {
-        auto o = GatherScheduler::optionsFromEnv();
-        o.tolerance = -1.0;
-        GatherScheduler sched("", o);
-        opt.scheduler = &sched;
-        const auto cold =
-            gatherTrainingData(repo, phases, len, 1000, opt);
-        const auto warm =
-            gatherTrainingData(repo, phases, len, 1000, opt);
-        const auto st = sched.stats();
-        EXPECT_EQ(st.hits, 0u);
-        EXPECT_EQ(st.escalations, phases.size());
-        // Full re-characterisation of the exact spec is
-        // deterministic.
-        EXPECT_EQ(hashGather(warm), hashGather(cold));
-    }
-
-    // So does a negative uncertainty bound.
-    {
-        auto o = GatherScheduler::optionsFromEnv();
-        o.uncertaintyThreshold = -1.0;
-        GatherScheduler sched("", o);
-        opt.scheduler = &sched;
-        gatherTrainingData(repo, phases, len, 1000, opt);
-        gatherTrainingData(repo, phases, len, 1000, opt);
-        const auto st = sched.stats();
-        EXPECT_EQ(st.hits, 0u);
-        EXPECT_EQ(st.escalations, phases.size());
-    }
+    auto o = GatherScheduler::optionsFromEnv();
+    o.tolerance = -1.0;
+    GatherScheduler sched("", o);
+    opt.scheduler = &sched;
+    const auto cold = gatherTrainingData(repo, phases, len, 1000, opt);
+    const auto warm = gatherTrainingData(repo, phases, len, 1000, opt);
+    const auto st = sched.stats();
+    EXPECT_EQ(st.hits, 0u);
+    EXPECT_EQ(st.escalations, phases.size());
+    // Full re-characterisation of the exact spec is deterministic.
+    EXPECT_EQ(hashGather(warm), hashGather(cold));
 }
 
 TEST_F(GatherSchedulerTest, MemoOffIsBitExactWithPreMemoGather)
