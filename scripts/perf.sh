@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
 OUT="${BENCH_OUT:-BENCH_perf.json}"
-BENCHES=(perf_pipeline perf_chip perf_interval perf_tracegen perf_gather
+BENCHES=(perf_pipeline perf_chip perf_tracegen perf_gather
          perf_gather_warm perf_train)
 
 echo "perf: will run ${#BENCHES[@]} benchmarks: ${BENCHES[*]}" >&2
@@ -44,10 +44,9 @@ done
 [ "$missing" -eq 0 ] || exit 1
 
 # Each binary emits one JSON object per measurement per line (a
-# binary may emit several — perf_interval reports the interval
-# backend and its cycle-level reference, perf_tracegen adds the
-# perf_tracegen_walk stream walk and its per-interval generate()
-# reference).  Every line is validated
+# binary may emit several — perf_chip adds its perf_chip_stats
+# row, perf_tracegen adds the perf_tracegen_walk stream walk and its
+# per-interval generate() reference).  Every line is validated
 # as it arrives so a malformed measurement fails loudly, naming the
 # benchmark and the offending line, instead of shipping a bad
 # artifact.  The assembled file is written to a temp path and moved

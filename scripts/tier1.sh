@@ -5,7 +5,7 @@
 #      containment objects, which compile with the main build
 #   2. ThreadSanitizer pass over the concurrency-critical tests
 #      (thread pool, shared simulation repository, shared trace
-#      cache, metrics registry, perf-model backend lookup, the
+#      cache, metrics registry, timing-model lookup, the
 #      gather phase-memo, and the multi-core chip model with its
 #      shared LLC)
 #   3. AddressSanitizer+UBSan pass over the full test suite
@@ -34,7 +34,7 @@ san_available() {
 cmake -B build -S .
 cmake --build build -j
 cmake --build build -j \
-    --target perf_pipeline perf_chip perf_interval perf_tracegen \
+    --target perf_pipeline perf_chip perf_tracegen \
              perf_gather perf_gather_warm perf_train
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 

@@ -134,12 +134,6 @@ traceFile()
     return envString("ADAPTSIM_TRACE_FILE", "adaptsim_trace.json");
 }
 
-std::string
-backendName()
-{
-    return envString("ADAPTSIM_BACKEND", "cycle");
-}
-
 bool
 cycleTraceEnabled()
 {

@@ -58,10 +58,6 @@ bool cycleTraceEnabled();
  *  (default "adaptsim_trace.json"). */
 std::string traceFile();
 
-/** ADAPTSIM_BACKEND: default performance-model backend name
- *  ("cycle" when unset, or "interval"; see src/sim/perf_model.hh). */
-std::string backendName();
-
 /** ADAPTSIM_GATHER_MEMO: phase-memoised gather scheduling.  Truthy
  *  (default) lets gathers recognise previously characterised phases
  *  through the persistent memo index and skip resimulation; "0"/

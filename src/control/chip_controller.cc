@@ -41,10 +41,7 @@ ChipController::ChipController(
     const ChipControllerOptions &options)
     : workloads_(workloads), opt_(options),
       backend_(options.backend ? *options.backend
-                               : sim::defaultPerfModel()),
-      profileBackend_(backend_.supportsObservers()
-                          ? backend_
-                          : sim::perfModel("cycle"))
+                               : sim::perfModel("cycle"))
 {
     const std::size_t n = workloads_.size();
     if (n == 0)
@@ -100,8 +97,7 @@ ChipController::run(std::uint64_t max_instructions)
     profilers.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         profilers.push_back(
-            profileBackend_.makeSession(profiling_cc,
-                                        *wrongPaths_[i]));
+            backend_.makeSession(profiling_cc, *wrongPaths_[i]));
 
     std::vector<workload::TracePtr> trace_hold(n);
     std::vector<std::vector<isa::MicroOp>> trace_local(n);
@@ -139,8 +135,8 @@ ChipController::run(std::uint64_t max_instructions)
                 uarch::SimResult prof;
                 {
                     OBS_SPAN("control/chip_profile");
-                    prof = profileBackend_.run(*profilers[c],
-                                               traces[c], &bank);
+                    prof = backend_.run(*profilers[c], traces[c],
+                                        &bank);
                 }
                 bank.finalise(prof.events);
                 const auto m = power::computeMetrics(profiling_cc,
@@ -227,7 +223,7 @@ runStaticChip(const std::vector<const workload::Workload *> &workloads,
     if (n == 0)
         fatal("runStaticChip: need at least one workload");
     const sim::PerfModel &model =
-        backend ? *backend : sim::defaultPerfModel();
+        backend ? *backend : sim::perfModel("cycle");
 
     uarch::ChipConfig chip_cfg = chip_geometry;
     chip_cfg.coreConfigs.assign(n, config);

@@ -43,9 +43,8 @@ struct ChipControllerOptions
 
     workload::TraceCache *traceCache = nullptr;
 
-    /** Backend for the chip intervals; nullptr selects the
-     *  ADAPTSIM_BACKEND default.  Profiling uses an observer-capable
-     *  backend (cycle fallback), as in the single-core controller. */
+    /** Timing model for the chip and profiling intervals; nullptr
+     *  selects sim::perfModel("cycle"). */
     const sim::PerfModel *backend = nullptr;
 };
 
@@ -94,7 +93,6 @@ class ChipController
     std::vector<const workload::Workload *> workloads_;
     ChipControllerOptions opt_;
     const sim::PerfModel &backend_;
-    const sim::PerfModel &profileBackend_;
 
     std::vector<std::unique_ptr<workload::WrongPathGenerator>>
         wrongPaths_;
@@ -103,8 +101,8 @@ class ChipController
 
 /**
  * Reference point: every core pinned to @p config for the whole run
- * on the same chip geometry.  @p backend nullptr selects the
- * ADAPTSIM_BACKEND default.
+ * on the same chip geometry.  @p backend nullptr selects
+ * sim::perfModel("cycle").
  */
 ChipRunStats
 runStaticChip(const std::vector<const workload::Workload *> &workloads,

@@ -16,11 +16,7 @@ AdaptiveController::AdaptiveController(const workload::Workload &wl,
                                        const ml::AdaptivityModel &model,
                                        const ControllerOptions &options)
     : wl_(wl), model_(model), opt_(options),
-      backend_(options.backend ? *options.backend
-                               : sim::defaultPerfModel()),
-      profileBackend_(backend_.supportsObservers()
-                          ? backend_
-                          : sim::perfModel("cycle")),
+      backend_(sim::perfModel("cycle")),
       wrongPath_(wl.averageParams(), wl.seed() ^ 0x771ULL),
       policy_(model, options.featureSet, options.detectorThreshold)
 {
@@ -55,7 +51,7 @@ AdaptiveController::run(std::uint64_t max_instructions)
     const auto profiling_cc =
         uarch::CoreConfig::fromConfiguration(profiling);
     const auto profiling_core =
-        profileBackend_.makeSession(profiling_cc, wrongPath_);
+        backend_.makeSession(profiling_cc, wrongPath_);
 
     // Interval traces come from the shared cache when one is
     // configured (replayed comparison runs regenerate nothing);
@@ -85,8 +81,7 @@ AdaptiveController::run(std::uint64_t max_instructions)
             uarch::SimResult prof;
             {
                 OBS_SPAN("control/profile");
-                prof = profileBackend_.run(*profiling_core, trace,
-                                           &bank);
+                prof = backend_.run(*profiling_core, trace, &bank);
             }
             bank.finalise(prof.events);
             const auto m = power::computeMetrics(profiling_cc,
@@ -151,12 +146,10 @@ runStatic(const workload::Workload &wl,
           const space::Configuration &config,
           std::uint64_t max_instructions,
           std::uint64_t interval_length,
-          workload::TraceCache *trace_cache,
-          const sim::PerfModel *backend)
+          workload::TraceCache *trace_cache)
 {
     RunStats stats;
-    const sim::PerfModel &model =
-        backend ? *backend : sim::defaultPerfModel();
+    const sim::PerfModel &model = sim::perfModel("cycle");
     workload::WrongPathGenerator wrong_path(wl.averageParams(),
                                             wl.seed() ^ 0x57a71cULL);
     const auto cc = uarch::CoreConfig::fromConfiguration(config);

@@ -43,12 +43,6 @@ struct ControllerOptions
      *  same workload (static vs adaptive comparisons) then generate
      *  each interval once instead of once per run. */
     workload::TraceCache *traceCache = nullptr;
-
-    /** Performance-model backend for the execution intervals;
-     *  nullptr selects the ADAPTSIM_BACKEND default.  Profiling
-     *  intervals need observer callbacks, so a backend without
-     *  observer support profiles on the cycle-level model. */
-    const sim::PerfModel *backend = nullptr;
 };
 
 /** Whole-run outcome of an adaptive (or static) execution. */
@@ -107,8 +101,7 @@ class AdaptiveController
     const workload::Workload &wl_;
     const ml::AdaptivityModel &model_;
     ControllerOptions opt_;
-    const sim::PerfModel &backend_;        ///< execution intervals
-    const sim::PerfModel &profileBackend_; ///< observer-capable
+    const sim::PerfModel &backend_;
 
     workload::WrongPathGenerator wrongPath_;
     CorePolicy policy_;
@@ -117,14 +110,12 @@ class AdaptiveController
 /**
  * Reference point: execute @p max_instructions of @p wl on a fixed
  * @p config (caches and predictor stay warm across intervals).
- * @p backend nullptr selects the ADAPTSIM_BACKEND default.
  */
 RunStats runStatic(const workload::Workload &wl,
                    const space::Configuration &config,
                    std::uint64_t max_instructions,
                    std::uint64_t interval_length = 10000,
-                   workload::TraceCache *trace_cache = nullptr,
-                   const sim::PerfModel *backend = nullptr);
+                   workload::TraceCache *trace_cache = nullptr);
 
 } // namespace adaptsim::control
 

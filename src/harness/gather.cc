@@ -11,7 +11,6 @@
 #include "common/logging.hh"
 #include "harness/gather_scheduler.hh"
 #include "obs/obs.hh"
-#include "sim/perf_model.hh"
 #include "space/sampling.hh"
 
 namespace adaptsim::harness
@@ -90,8 +89,7 @@ gatherOnePhase(EvalRepository &repo,
     }
 
     // 4. Profiling-configuration counters.
-    if (options.profileFeatures)
-        g.features = repo.profile(g.spec, options.backend);
+    g.features = repo.profile(g.spec, options.backend);
     return g;
 }
 

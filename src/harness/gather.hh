@@ -34,15 +34,9 @@ struct GatherOptions
     bool progress = true;      ///< per-phase cache/progress lines
     std::uint64_t seed = 2010;
 
-    /** Backend for the evaluation batches; nullptr selects the
-     *  ADAPTSIM_BACKEND default.  (Profiling runs always use an
-     *  observer-capable backend; see EvalRepository::profile.) */
+    /** Timing model for the evaluation and profiling runs; nullptr
+     *  selects sim::perfModel("cycle"). */
     const sim::PerfModel *backend = nullptr;
-
-    /** Skip the per-phase profiling-counter run (step 4).  Backend
-     *  benchmarks turn this off so the cycle-level profiling cost
-     *  does not mask the evaluation-backend cost being measured. */
-    bool profileFeatures = true;
 
     /** Phase-memoised scheduling (see harness/gather_scheduler.hh).
      *  Env defers to ADAPTSIM_GATHER_MEMO (default on); Off forces

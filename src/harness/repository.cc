@@ -1,12 +1,14 @@
 #include "harness/repository.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -71,6 +73,46 @@ decodeDoubles(const char *p)
     r.watts = getDouble(p + 40);
     r.efficiency = getDouble(p + 48);
     return r;
+}
+
+/**
+ * Decode a `.features` profile file: exactly two '\n'-terminated
+ * lines of space-separated doubles (Basic then Advanced features),
+ * every token parsed whole and each line at its feature set's
+ * dimension.  Anything else — a torn write cutting a line or a
+ * number short, a stale feature set — decodes to nothing.
+ */
+std::optional<ProfileRecord>
+decodeProfile(std::string_view bytes)
+{
+    ProfileRecord rec;
+    const std::pair<std::vector<double> *, counters::FeatureSet>
+        lines[] = {{&rec.basic, counters::FeatureSet::Basic},
+                   {&rec.advanced, counters::FeatureSet::Advanced}};
+    for (const auto &[values, set] : lines) {
+        const std::size_t eol = bytes.find('\n');
+        if (eol == std::string_view::npos)
+            return std::nullopt;
+        std::string_view line = bytes.substr(0, eol);
+        bytes.remove_prefix(eol + 1);
+        while (!line.empty()) {
+            const std::size_t end = std::min(line.find(' '), line.size());
+            if (end > 0) {
+                double v;
+                const auto [ptr, ec] =
+                    std::from_chars(line.data(), line.data() + end, v);
+                if (ec != std::errc{} || ptr != line.data() + end)
+                    return std::nullopt;
+                values->push_back(v);
+            }
+            line.remove_prefix(std::min(end + 1, line.size()));
+        }
+        if (values->size() != counters::featureDimension(set))
+            return std::nullopt;
+    }
+    if (!bytes.empty())
+        return std::nullopt;
+    return rec;
 }
 
 #if ADAPTSIM_OBS_ENABLED
@@ -226,7 +268,7 @@ EvalRepository::cacheFor(const PhaseSpec &spec)
 EvalRecord
 EvalRepository::simulate(const PhaseSpec &spec,
                          const space::Configuration &config,
-                         const sim::PerfModel &backend)
+                         const sim::PerfModel &model)
 {
     const auto &wl = workload(spec.workload);
     // Each simulation gets its own wrong-path stream (the generator
@@ -234,7 +276,7 @@ EvalRepository::simulate(const PhaseSpec &spec,
     workload::WrongPathGenerator wrong_path(wl.averageParams(),
                                             wl.seed() ^ 0x57a71cULL);
     const auto cc = uarch::CoreConfig::fromConfiguration(config);
-    const auto session = backend.makeSession(cc, wrong_path);
+    const auto session = model.makeSession(cc, wrong_path);
 
     const std::uint64_t warm_start =
         spec.startInst >= spec.warmLength ?
@@ -247,7 +289,7 @@ EvalRepository::simulate(const PhaseSpec &spec,
     }
     const auto trace =
         traceCache_.get(wl, spec.startInst, spec.detailLength);
-    const auto result = backend.run(*session, *trace);
+    const auto result = model.run(*session, *trace);
     const auto m = session->metricsFor(result);
 
     EvalRecord r;
@@ -267,7 +309,7 @@ EvalRepository::evaluate(const PhaseSpec &spec,
                          const sim::PerfModel *backend)
 {
     const sim::PerfModel &model =
-        backend ? *backend : sim::defaultPerfModel();
+        backend ? *backend : sim::perfModel("cycle");
     const EvalKey key{model.cacheTag(), config.encode(), spec.chipMix};
     {
         MutexLock lock(mutex_);
@@ -295,7 +337,6 @@ EvalRepository::evaluate(const PhaseSpec &spec,
     MutexLock lock(mutex_);
     simSeconds_ += secs;
     ++simulated_;
-    ++simulatedByBackend_[model.name()];
     auto &cache = cacheFor(spec);
     // Two threads may race to simulate the same config (simulation
     // is deterministic, so both results are identical); only the
@@ -356,14 +397,11 @@ EvalRepository::evaluateBatch(
 {
     // Concurrent gathers may share one repository; the pool runs one
     // batch at a time, so callers queue here rather than racing into
-    // parallelFor.  The backend is resolved once so every evaluation
-    // of the batch uses the same model even if the env changes.
-    const sim::PerfModel &model =
-        backend ? *backend : sim::defaultPerfModel();
+    // parallelFor.
     MutexLock batch(batchMutex_);
     std::vector<EvalRecord> out(configs.size());
     pool_.parallelFor(configs.size(), [&](std::size_t i) {
-        out[i] = evaluate(spec, configs[i], &model);
+        out[i] = evaluate(spec, configs[i], backend);
     });
     return out;
 }
@@ -372,23 +410,8 @@ ProfileRecord
 EvalRepository::profile(const PhaseSpec &spec,
                         const sim::PerfModel *backend)
 {
-    // The counter bank is fed by per-cycle observer callbacks, so an
-    // analytical backend cannot drive it; profiling falls back to
-    // the cycle-level reference model in that case.  Profile caches
-    // are therefore always observer-fidelity and carry no tag.
-    const sim::PerfModel &requested =
-        backend ? *backend : sim::defaultPerfModel();
-    const sim::PerfModel &model = requested.supportsObservers()
-                                      ? requested
-                                      : sim::perfModel("cycle");
-    if (&model != &requested) {
-        MutexLock lock(mutex_);
-        if (profileWarned_.insert(requested.name()).second)
-            warn("backend \"", requested.name(),
-                 "\" cannot drive profiling counters; using \"",
-                 model.name(),
-                 "\" for its profiling runs (warned once)");
-    }
+    const sim::PerfModel &model =
+        backend ? *backend : sim::perfModel("cycle");
     {
         MutexLock lock(mutex_);
         const auto it = profiles_.find(spec.key());
@@ -399,47 +422,19 @@ EvalRepository::profile(const PhaseSpec &spec,
         }
     }
 
-    // Try the disk cache.  A truncated or stale file (torn write,
-    // feature-set change) must not be accepted just because *some*
-    // doubles parsed: both vectors have to match the expected
-    // dimensions exactly, or we fall back to re-simulation.
-    {
-        std::ifstream in(profilePath(spec));
-        if (in) {
-            ProfileRecord rec;
-            auto read_line = [&](std::vector<double> &v) {
-                std::string line;
-                if (!std::getline(in, line))
-                    return false;
-                std::istringstream ls(line);
-                double x;
-                while (ls >> x)
-                    v.push_back(x);
-                return !v.empty();
-            };
-            const bool parsed =
-                read_line(rec.basic) && read_line(rec.advanced);
-            const std::size_t want_basic = counters::featureDimension(
-                counters::FeatureSet::Basic);
-            const std::size_t want_advanced =
-                counters::featureDimension(
-                    counters::FeatureSet::Advanced);
-            if (parsed && rec.basic.size() == want_basic &&
-                rec.advanced.size() == want_advanced) {
-                MutexLock lock(mutex_);
-                ++hits_;
-                OBS_ONLY(repoMetrics().hit.add(1);)
-                profiles_[spec.key()] = rec;
-                return rec;
-            }
-            if (parsed) {
-                warn("profile cache ", profilePath(spec),
-                     ": feature dimensions ", rec.basic.size(), "/",
-                     rec.advanced.size(), " (expected ", want_basic,
-                     "/", want_advanced,
-                     "); re-simulating the profile");
-            }
+    // Try the disk cache; a file that does not decode whole (torn
+    // write, feature-set change) is re-simulated.
+    if (const std::string bytes = readFile(profilePath(spec));
+        !bytes.empty()) {
+        if (auto rec = decodeProfile(bytes)) {
+            MutexLock lock(mutex_);
+            ++hits_;
+            OBS_ONLY(repoMetrics().hit.add(1);)
+            profiles_[spec.key()] = *rec;
+            return *rec;
         }
+        warn("profile cache ", profilePath(spec),
+             " is malformed; re-simulating the profile");
     }
 
     // Run the profiling configuration with the counter bank.
@@ -495,7 +490,6 @@ EvalRepository::profile(const PhaseSpec &spec,
     MutexLock lock(mutex_);
     profiles_[spec.key()] = rec;
     ++simulated_;
-    ++simulatedByBackend_[model.name()];
     simSeconds_ += secs;
     return rec;
 }
@@ -579,8 +573,6 @@ EvalRepository::stats() const
     s.traceHits = tc.hits;
     s.traceMisses = tc.misses;
     s.traceEvictions = tc.evictions;
-    s.backendEvals.assign(simulatedByBackend_.begin(),
-                          simulatedByBackend_.end());
     return s;
 }
 
@@ -600,15 +592,6 @@ EvalRepository::statsSummary() const
            << s.traceMisses << " generated";
         if (s.traceEvictions > 0)
             os << " (" << s.traceEvictions << " evicted)";
-    }
-    // Per-backend split, shown once more than one backend (or the
-    // non-default one) produced results this process.
-    if (!s.backendEvals.empty() &&
-        (s.backendEvals.size() > 1 ||
-         s.backendEvals.front().first != "cycle")) {
-        os << "; backends";
-        for (const auto &[name, n] : s.backendEvals)
-            os << ' ' << name << '=' << n;
     }
     return os.str();
 }

@@ -8,16 +8,15 @@
  * Profiling runs (with the counter bank attached) are cached the same
  * way as serialized feature vectors.
  *
- * Evaluations run through one of the two performance-model backends
- * (src/sim); their results never mix, because the backend's cache
- * tag is part of every in-memory key and on-disk record, and a
- * lookup probes only the asking backend's tag.  Records under any
- * other tag still load but never answer a query.
+ * Evaluations run through the timing model (src/sim), whose cache
+ * tag is part of every in-memory key and on-disk record; a lookup
+ * probes only that tag, so records under any other tag (a retired
+ * model's) still load but never answer a query.
  *
  * On-disk format: one `<key>.evc` file per PhaseSpec — a 24-byte
  * header (8-byte magic "ADSIMEVC", little-endian u64 version 3,
  * FNV-1a checksum of the first 16 bytes) followed by fixed-size
- * 88-byte records: config code (u64), backend cache tag (u64),
+ * 88-byte records: config code (u64), model cache tag (u64),
  * chip-mix key (u64; 0 = solo single-core), the seven EvalRecord
  * doubles bit-exact, and a per-record FNV-1a checksum.  A file is
  * created by atomic rename and extended by append+fsync, so
@@ -32,8 +31,6 @@
 #ifndef ADAPTSIM_HARNESS_REPOSITORY_HH
 #define ADAPTSIM_HARNESS_REPOSITORY_HH
 
-#include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -93,9 +90,8 @@ struct ProfileRecord
     std::vector<double> advanced;
 };
 
-/** Cache identity of one evaluation: which backend produced the
- *  result for which configuration.  The two backends' results for
- *  the same configuration are distinct entries. */
+/** Cache identity of one evaluation: which model produced the
+ *  result for which configuration. */
 struct EvalKey
 {
     std::uint64_t backendTag = 0;   ///< sim::PerfModel::cacheTag()
@@ -106,7 +102,7 @@ struct EvalKey
 };
 
 /** Mixing hash so (tag, code, chip) tuples spread over the table
- *  even when codes collide across backends or mixes. */
+ *  even when codes collide across tags or mixes. */
 struct EvalKeyHash
 {
     std::size_t operator()(const EvalKey &k) const
@@ -138,10 +134,6 @@ struct CacheStats
     std::uint64_t traceHits = 0;       ///< interval traces replayed
     std::uint64_t traceMisses = 0;     ///< interval traces generated
     std::uint64_t traceEvictions = 0;  ///< traces dropped by the LRU
-
-    /** Simulations actually run, split by backend name (sorted).
-     *  Mirrored into the obs registry as backend/<name>/evals. */
-    std::vector<std::pair<std::string, std::uint64_t>> backendEvals;
 };
 
 /** Memoising simulation evaluator shared by all benches. */
@@ -162,10 +154,10 @@ class EvalRepository
 
     /**
      * Evaluate one configuration on one phase (cached).
-     * @param backend performance model to simulate with; nullptr
-     *   selects the ADAPTSIM_BACKEND default.  A query is answered
-     *   only by a record under the backend's own cacheTag(), and a
-     *   fresh record is stored under that tag.
+     * @param backend timing model to simulate with; nullptr selects
+     *   sim::perfModel("cycle").  A query is answered only by a
+     *   record under the model's cacheTag(), and a fresh record is
+     *   stored under that tag.
      */
     EvalRecord evaluate(const PhaseSpec &spec,
                         const space::Configuration &config,
@@ -179,12 +171,8 @@ class EvalRepository
                   const sim::PerfModel *backend = nullptr)
         ADAPTSIM_EXCLUDES(batchMutex_, mutex_);
 
-    /**
-     * Profiling-configuration run with counters (cached).  The
-     * counter bank needs per-cycle observer callbacks, so a
-     * @p backend without observer support (e.g. "interval") falls
-     * back to the cycle-level model with a warning.
-     */
+    /** Profiling-configuration run with counters (cached as a
+     *  `.features` file per phase; @p backend as for evaluate()). */
     ProfileRecord profile(const PhaseSpec &spec,
                           const sim::PerfModel *backend = nullptr)
         ADAPTSIM_EXCLUDES(mutex_);
@@ -234,7 +222,7 @@ class EvalRepository
      *  sibling indices (the gather phase-memo) live alongside it. */
     const std::string &dataDir() const { return dataDir_; }
 
-    /** All cached records of one phase produced under one backend
+    /** All cached records of one phase stored under one model
      *  tag, sorted by configuration code (loads the phase's disk
      *  cache if needed). */
     std::vector<std::pair<std::uint64_t, EvalRecord>>
@@ -257,10 +245,10 @@ class EvalRepository
         Mutex fileMutex;
     };
 
-    /** Run the real simulation through @p backend (no caching). */
+    /** Run the real simulation through @p model (no caching). */
     EvalRecord simulate(const PhaseSpec &spec,
                         const space::Configuration &config,
-                        const sim::PerfModel &backend)
+                        const sim::PerfModel &model)
         ADAPTSIM_EXCLUDES(mutex_);
 
     PhaseCache &cacheFor(const PhaseSpec &spec)
@@ -288,12 +276,7 @@ class EvalRepository
         ADAPTSIM_GUARDED_BY(mutex_);
     std::unordered_map<std::string, ProfileRecord> profiles_
         ADAPTSIM_GUARDED_BY(mutex_);
-    /** Backends already warned about missing observer support, so
-     *  profile() nags once per backend rather than per call. */
-    std::set<std::string> profileWarned_ ADAPTSIM_GUARDED_BY(mutex_);
     std::size_t flushEvery_ ADAPTSIM_GUARDED_BY(mutex_);
-    std::map<std::string, std::uint64_t> simulatedByBackend_
-        ADAPTSIM_GUARDED_BY(mutex_);
     std::uint64_t simulated_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     std::uint64_t hits_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     std::uint64_t loaded_ ADAPTSIM_GUARDED_BY(mutex_) = 0;

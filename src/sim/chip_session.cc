@@ -1,325 +1,43 @@
 #include "sim/chip_session.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.hh"
-#include "power/frequency.hh"
-#include "uarch/cache_hierarchy.hh"
 
 namespace adaptsim::sim
 {
 
-namespace
+ChipSession::ChipSession(
+    const uarch::ChipConfig &cfg,
+    const std::vector<workload::WrongPathGenerator *> &wrong_paths)
+    : chip_(cfg, wrong_paths),
+      interference_(chip_.numCores(), CoreInterference{})
 {
-
-uarch::LlcConfig
-llcConfigOf(const uarch::ChipConfig &cfg)
-{
-    uarch::LlcConfig llc;
-    llc.bytes = cfg.llcBytes;
-    llc.assoc = cfg.llcAssoc;
-    llc.lineBytes = uarch::CoreConfig::cacheLineBytes;
-    llc.banks = cfg.llcBanks;
-    llc.mshrsPerBank = cfg.llcMshrsPerBank;
-    llc.hitLatency = cfg.llcLatency;
-    llc.busLatency = cfg.busLatency;
-    llc.bankService = cfg.llcBankService;
-    return llc;
 }
 
-/**
- * Backend-agnostic chip session: functional interference probe +
- * per-core backend CoreSessions at an effective memory latency.
- */
-class ProxyChipSession final : public ChipSession
+uarch::ChipResult
+ChipSession::run(const std::vector<std::span<const isa::MicroOp>> &traces,
+                 const std::vector<uarch::SimObserver *> &observers)
 {
-  public:
-    ProxyChipSession(
-        const PerfModel &model, const uarch::ChipConfig &cfg,
-        const std::vector<workload::WrongPathGenerator *>
-            &wrong_paths)
-        : model_(model), cfg_(cfg), wrongPaths_(wrong_paths)
-    {
-        const std::size_t n = cfg_.numCores();
-        if (n == 0)
-            panic("ProxyChipSession: need at least one core");
-        if (wrongPaths_.size() != n)
-            panic("ProxyChipSession: ", wrongPaths_.size(),
-                  " wrong-path sources for ", n, " cores");
-
-        derived_.reserve(n);
-        for (const auto &c : cfg_.coreConfigs)
-            derived_.push_back(
-                uarch::CoreConfig::fromConfiguration(c));
-
-        if (!cfg_.singleCore()) {
-            llc_ = std::make_unique<uarch::SharedLlc>(
-                llcConfigOf(cfg_), static_cast<unsigned>(n));
-            for (std::size_t i = 0; i < n; ++i)
-                probes_.push_back(
-                    std::make_unique<uarch::CacheHierarchy>(
-                        derived_[i], llc_.get(),
-                        static_cast<unsigned>(i)));
-        }
-
-        effMem_.assign(n, 0);
-        interference_.assign(n, CoreInterference{});
-        sessions_.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            sessions_.push_back(
-                model_.makeSession(derived_[i], *wrongPaths_[i]));
+    uarch::ChipResult res = chip_.run(traces, observers);
+    for (std::size_t i = 0; i < chip_.numCores(); ++i) {
+        CoreInterference &itf = interference_[i];
+        itf.occupancyShare = res.occupancyShare[i];
+        itf.sharedMissRatio = res.sharedMissRatio[i];
+        const auto &ev = res.cores[i].events;
+        itf.avgQueueCycles =
+            ev.llcAccesses ? double(ev.llcQueueCycles) /
+                                 double(ev.llcAccesses)
+                           : 0.0;
     }
+    return res;
+}
 
-    void
-    warm(std::size_t core,
-         std::span<const isa::MicroOp> trace) override
-    {
-        checkCore(core);
-        if (!cfg_.singleCore()) {
-            // Warm the interference probe the way uarch::Core warms
-            // its real hierarchy (line-deduplicated fetch stream).
-            uarch::CacheHierarchy &probe = *probes_[core];
-            Addr last_line = invalidAddr;
-            for (const auto &op : trace) {
-                const Addr line =
-                    op.pc / uarch::CoreConfig::cacheLineBytes;
-                if (line != last_line) {
-                    probe.warmFetch(op.pc);
-                    last_line = line;
-                }
-                if (op.isMem())
-                    probe.warmData(op.effAddr, op.isStore());
-            }
-        }
-        sessions_[core]->warm(trace);
-    }
-
-    uarch::ChipResult
-    run(const std::vector<std::span<const isa::MicroOp>> &traces,
-        const std::vector<uarch::SimObserver *> &observers) override
-    {
-        const std::size_t n = sessions_.size();
-        if (traces.size() != n)
-            panic("ProxyChipSession: ", traces.size(),
-                  " traces for ", n, " cores");
-        if (!observers.empty() && observers.size() != n)
-            panic("ProxyChipSession: ", observers.size(),
-                  " observers for ", n, " cores");
-
-        auto observer = [&](std::size_t i) -> uarch::SimObserver * {
-            return observers.empty() ? nullptr : observers[i];
-        };
-
-        uarch::ChipResult res;
-        res.cores.resize(n);
-        res.occupancyShare.assign(n, 0.0);
-        res.sharedMissRatio.assign(n, 0.0);
-
-        if (cfg_.singleCore()) {
-            res.cores[0] =
-                model_.run(*sessions_[0], traces[0], observer(0));
-            return res;
-        }
-
-        const std::vector<uarch::EventCounts> probe_ev =
-            probeInterference(traces);
-
-        for (std::size_t i = 0; i < n; ++i) {
-            applyInterference(i, probe_ev[i]);
-            res.cores[i] =
-                model_.run(*sessions_[i], traces[i], observer(i));
-            // Surface the probe's shared-level events so feature
-            // assembly downstream sees the LLC traffic the backend
-            // itself never modelled.
-            res.cores[i].events.llcAccesses =
-                probe_ev[i].llcAccesses;
-            res.cores[i].events.llcMisses = probe_ev[i].llcMisses;
-            res.cores[i].events.llcQueueCycles =
-                probe_ev[i].llcQueueCycles;
-            res.occupancyShare[i] = interference_[i].occupancyShare;
-            res.sharedMissRatio[i] =
-                interference_[i].sharedMissRatio;
-        }
-        return res;
-    }
-
-    void
-    reconfigureCore(std::size_t core,
-                    const space::Configuration &c) override
-    {
-        checkCore(core);
-        cfg_.coreConfigs[core] = c;
-        derived_[core] = uarch::CoreConfig::fromConfiguration(c);
-        if (!cfg_.singleCore())
-            probes_[core] = std::make_unique<uarch::CacheHierarchy>(
-                derived_[core], llc_.get(),
-                static_cast<unsigned>(core));
-        effMem_[core] = 0;   // force a rebuild at the measured point
-        sessions_[core] =
-            model_.makeSession(derived_[core], *wrongPaths_[core]);
-    }
-
-    const uarch::ChipConfig &config() const override { return cfg_; }
-
-    CoreInterference
-    interference(std::size_t core) const override
-    {
-        checkCore(core);
-        return interference_[core];
-    }
-
-    power::Metrics
-    metricsFor(std::size_t core,
-               const uarch::SimResult &result) override
-    {
-        checkCore(core);
-        return sessions_[core]->metricsFor(result);
-    }
-
-  private:
-    void
-    checkCore(std::size_t core) const
-    {
-        if (core >= sessions_.size())
-            panic("ProxyChipSession: core ", core, " on a ",
-                  sessions_.size(), "-core chip");
-    }
-
-    /**
-     * Quantum-interleaved functional replay through the private tag
-     * probes and the shared LLC.  The per-core µop index stands in
-     * for the clock (≈ IPC 1), which is enough to expose bank-queue
-     * and MSHR pressure ordering without a timing model.
-     */
-    std::vector<uarch::EventCounts>
-    probeInterference(
-        const std::vector<std::span<const isa::MicroOp>> &traces)
-    {
-        const std::size_t n = sessions_.size();
-        std::vector<uarch::EventCounts> ev(n);
-        // Scratch members, not locals: reused across runs, and
-        // GCC 12's -Wfree-nonheap-object false-fires on the local
-        // form at -O3 under -Werror.
-        pos_.assign(n, 0);
-        lastLine_.assign(n, invalidAddr);
-        auto &pos = pos_;
-        auto &last_line = lastLine_;
-        const std::uint64_t quantum =
-            std::max<std::uint64_t>(1, cfg_.quantum);
-
-        for (;;) {
-            bool any = false;
-            for (std::size_t i = 0; i < n; ++i) {
-                const auto &trace = traces[i];
-                if (pos[i] >= trace.size())
-                    continue;
-                any = true;
-                const std::size_t end = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(pos[i] + quantum,
-                                            trace.size()));
-                uarch::CacheHierarchy &probe = *probes_[i];
-                for (std::size_t k = pos[i]; k < end; ++k) {
-                    const auto &op = trace[k];
-                    const Cycles now = Cycles(k);
-                    const Addr line =
-                        op.pc / uarch::CoreConfig::cacheLineBytes;
-                    if (line != last_line[i]) {
-                        probe.fetchAccess(op.pc, ev[i], nullptr,
-                                          now);
-                        last_line[i] = line;
-                    }
-                    if (op.isMem())
-                        probe.dataAccess(op.effAddr, op.isStore(),
-                                         ev[i], nullptr, now);
-                }
-                pos[i] = end;
-            }
-            if (!any)
-                break;
-        }
-
-        for (std::size_t i = 0; i < n; ++i) {
-            CoreInterference &itf = interference_[i];
-            const auto &e = ev[i];
-            itf.sharedMissRatio =
-                e.llcAccesses
-                    ? double(e.llcMisses) / double(e.llcAccesses)
-                    : 0.0;
-            itf.avgQueueCycles =
-                e.llcAccesses ? double(e.llcQueueCycles) /
-                                    double(e.llcAccesses)
-                              : 0.0;
-            itf.occupancyShare =
-                llc_->occupancyShare(static_cast<unsigned>(i));
-        }
-        return ev;
-    }
-
-    /**
-     * Fold core @p i's measured interference into an effective
-     * memory latency and rebuild its backend session when the
-     * (quantised) value moves.  An L2 miss that used to cost
-     * memLatency now costs the LLC round trip plus queueing plus
-     * the miss-ratio-weighted DRAM trip.
-     */
-    void
-    applyInterference(std::size_t i, const uarch::EventCounts &ev)
-    {
-        if (!ev.llcAccesses)
-            return;   // no shared traffic: keep the solo session
-        const CoreInterference &itf = interference_[i];
-        // llcLatency/busLatency are reference-clock cycles
-        // (LlcConfig::referenceDepthFo4); scale them to this core's
-        // clock.  avgQueueCycles comes from the probe hierarchy,
-        // which already converts, and memLatency is already derived
-        // per-config from the fixed DRAM wall-time.
-        const double ref_to_core =
-            double(uarch::LlcConfig::referenceDepthFo4 +
-                   int(power::latchOverheadFo4)) /
-            double(derived_[i].depthFo4 +
-                   int(power::latchOverheadFo4));
-        const double eff =
-            (double(cfg_.llcLatency) + double(cfg_.busLatency)) *
-                ref_to_core +
-            itf.avgQueueCycles +
-            itf.sharedMissRatio * double(derived_[i].memLatency);
-        // Quantise to 8-cycle steps so warm backend state is not
-        // thrown away on measurement noise.
-        const int quantised = std::max(
-            derived_[i].l2Latency,
-            static_cast<int>(std::lround(eff / 8.0)) * 8);
-        if (quantised == effMem_[i])
-            return;
-        effMem_[i] = quantised;
-        uarch::CoreConfig cfg = derived_[i];
-        cfg.memLatency = quantised;
-        sessions_[i] = model_.makeSession(cfg, *wrongPaths_[i]);
-    }
-
-    const PerfModel &model_;
-    uarch::ChipConfig cfg_;
-    std::vector<workload::WrongPathGenerator *> wrongPaths_;
-    std::vector<uarch::CoreConfig> derived_;
-
-    std::unique_ptr<uarch::SharedLlc> llc_;
-    std::vector<std::unique_ptr<uarch::CacheHierarchy>> probes_;
-    std::vector<std::size_t> pos_;
-    std::vector<Addr> lastLine_;
-    std::vector<std::unique_ptr<CoreSession>> sessions_;
-    std::vector<int> effMem_;   ///< 0 = solo latency in effect
-    std::vector<CoreInterference> interference_;
-};
-
-} // namespace
-
-std::unique_ptr<ChipSession>
-makeProxyChipSession(
-    const PerfModel &model, const uarch::ChipConfig &cfg,
-    const std::vector<workload::WrongPathGenerator *> &wrong_paths)
+CoreInterference
+ChipSession::interference(std::size_t core) const
 {
-    return std::make_unique<ProxyChipSession>(model, cfg,
-                                              wrong_paths);
+    if (core >= interference_.size())
+        panic("ChipSession: core ", core, " on a ",
+              interference_.size(), "-core chip");
+    return interference_[core];
 }
 
 std::unique_ptr<ChipSession>
@@ -328,7 +46,7 @@ PerfModel::makeChipSession(
     const std::vector<workload::WrongPathGenerator *> &wrong_paths)
     const
 {
-    return makeProxyChipSession(*this, cfg, wrong_paths);
+    return std::make_unique<ChipSession>(cfg, wrong_paths);
 }
 
 } // namespace adaptsim::sim

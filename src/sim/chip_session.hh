@@ -1,32 +1,20 @@
 /**
  * @file
- * The multi-core half of the performance-model seam.
+ * The multi-core half of the timing model.
  *
  * A ChipSession is to a chip what CoreSession is to one core: it
- * owns per-core simulation state for a co-run mix and persists warm
- * structures across run() calls.  PerfModel::makeChipSession()
- * returns one for any backend:
- *
- *   - The cycle backend overrides it with a session wrapping
- *     uarch::Chip — the detailed shared-LLC contention model.
- *   - The interval backend gets the ProxyChipSession defined here: a
- *     functional (untimed-clock) replay of the mix through real
- *     private tag stacks and a real SharedLlc measures each core's
- *     interference features (LLC occupancy share, shared-miss
- *     ratio, queue delay), which are folded into an *effective*
- *     per-core memory latency; the backend's own CoreSessions then
- *     run per core with that latency.  The interval backend thus
- *     sees the interference without a cycle-accurate multi-core
- *     loop.
- *
- * A single-core chip bypasses all of this and delegates straight to
- * the backend's CoreSession — bit-identical to the pre-chip seam.
+ * owns a uarch::Chip — the detailed shared-LLC contention model —
+ * for one co-run mix and persists warm structures across run()
+ * calls.  Besides the chip's results it keeps each core's
+ * interference features from the last run (LLC occupancy share,
+ * shared-miss ratio, queue delay), which ChipRunStats reports.
+ * A one-core chip attaches no LLC and is bit-identical to a
+ * CoreSession.
  */
 
 #ifndef ADAPTSIM_SIM_CHIP_SESSION_HH
 #define ADAPTSIM_SIM_CHIP_SESSION_HH
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,48 +32,53 @@ struct CoreInterference
     double avgQueueCycles = 0.0;   ///< mean bank/MSHR wait per access
 };
 
-/** One simulated chip owned by a backend. */
+/** One simulated chip (see file comment). */
 class ChipSession
 {
   public:
-    virtual ~ChipSession() = default;
+    /** @p wrong_paths holds one wrong-path source per core. */
+    ChipSession(const uarch::ChipConfig &cfg,
+                const std::vector<workload::WrongPathGenerator *>
+                    &wrong_paths);
 
     /** Functionally warm one core (private levels + shared LLC). */
-    virtual void warm(std::size_t core,
-                      std::span<const isa::MicroOp> trace) = 0;
+    void warm(std::size_t core, std::span<const isa::MicroOp> trace)
+    {
+        chip_.warm(core, trace);
+    }
 
     /**
      * Timed co-run of one trace per core (empty spans idle that
-     * core).  @p observers is empty or one entry per core; backends
-     * without observer support ignore it.
+     * core).  @p observers is empty or one entry per core.
      */
-    virtual uarch::ChipResult
+    uarch::ChipResult
     run(const std::vector<std::span<const isa::MicroOp>> &traces,
-        const std::vector<uarch::SimObserver *> &observers = {}) = 0;
+        const std::vector<uarch::SimObserver *> &observers = {});
 
     /** Move one core to a new design point (reconfiguration flush
      *  semantics: private state restarts cold). */
-    virtual void reconfigureCore(std::size_t core,
-                                 const space::Configuration &c) = 0;
+    void reconfigureCore(std::size_t core, const space::Configuration &c)
+    {
+        chip_.reconfigureCore(core, c);
+    }
 
-    virtual const uarch::ChipConfig &config() const = 0;
+    const uarch::ChipConfig &config() const { return chip_.config(); }
 
     /** Interference features of @p core from the last run(). */
-    virtual CoreInterference interference(std::size_t core) const = 0;
+    CoreInterference interference(std::size_t core) const;
 
     /** Power/performance metrics for one core's run() result. */
-    virtual power::Metrics
-    metricsFor(std::size_t core, const uarch::SimResult &result) = 0;
-};
+    power::Metrics metricsFor(std::size_t core,
+                              const uarch::SimResult &result) const
+    {
+        return power::computeMetrics(chip_.core(core).config(),
+                                     result.events);
+    }
 
-/**
- * The default backend-agnostic chip session (see file comment).
- * Constructed by PerfModel::makeChipSession()'s base implementation;
- * public so tests can target it directly.
- */
-std::unique_ptr<ChipSession> makeProxyChipSession(
-    const PerfModel &model, const uarch::ChipConfig &cfg,
-    const std::vector<workload::WrongPathGenerator *> &wrong_paths);
+  private:
+    uarch::Chip chip_;
+    std::vector<CoreInterference> interference_;
+};
 
 } // namespace adaptsim::sim
 

@@ -1,27 +1,21 @@
 /**
  * @file
- * The performance-model seam.
+ * The timing model.
  *
  * Every layer that needs "simulate this trace on this configuration"
  * — the evaluation repository, the runtime controller, the benches —
- * goes through the abstract PerfModel interface instead of
- * constructing the cycle-level uarch::Core directly.  Exactly two
- * backends exist, looked up by name with perfModel();
- * ADAPTSIM_BACKEND selects the default (see common/env), and every
- * entry point takes a per-call override:
+ * goes through PerfModel instead of constructing uarch::Core
+ * directly, so per-run telemetry is complete.  There is one model,
+ * the cycle-level out-of-order pipeline, looked up as
+ * perfModel("cycle").  A CoreSession is exactly one uarch::Core —
+ * same construction, same warm(), same run() — so results through it
+ * are bit-identical to calling the core directly (the golden
+ * pipeline matrix holds through both paths).
  *
- *   "cycle"     CycleLevelModel — the detailed out-of-order pipeline
- *               (uarch::Core), bit-identical to calling it directly.
- *   "interval"  IntervalModel — a Karkhanis/Eeckhout-style interval
- *               analysis that replays the trace through the *real*
- *               cache and branch-predictor models in one linear pass
- *               and prices the penalty events analytically.  No
- *               per-cycle loop, ≥10× faster, bounded IPC error.
- *
- * Results of the two backends never mix: each carries a cacheTag()
- * that the repository folds into its in-memory keys and persists in
- * every on-disk record, and a query is answered only by records
- * under the asking backend's own tag (DESIGN.md §11).
+ * The model's cacheTag() is folded into the repository's in-memory
+ * keys and persisted in every on-disk record, and a query is
+ * answered only by records under that tag, so records a retired
+ * model left in a store load but never answer (DESIGN.md §11).
  */
 
 #ifndef ADAPTSIM_SIM_PERF_MODEL_HH
@@ -34,6 +28,7 @@
 
 #include "power/metrics.hh"
 #include "space/configuration.hh"
+#include "uarch/core.hh"
 #include "uarch/core_config.hh"
 #include "uarch/events.hh"
 #include "uarch/pipeline.hh"
@@ -45,30 +40,34 @@ namespace adaptsim::sim
 class ChipSession;
 
 /**
- * One configured simulated core owned by a backend: caches and
- * branch predictor persist across warm() and run() calls exactly as
- * uarch::Core's do, so multi-interval executions (the controller)
- * keep state warm between intervals.
+ * One configured simulated core: caches and branch predictor
+ * persist across warm() and run() calls exactly as uarch::Core's do,
+ * so multi-interval executions (the controller) keep state warm
+ * between intervals.
  */
 class CoreSession
 {
   public:
-    virtual ~CoreSession() = default;
+    CoreSession(const uarch::CoreConfig &cfg,
+                workload::WrongPathGenerator &wrong_path)
+        : core_(cfg, wrong_path)
+    {
+    }
 
     /** Functional warm-up of caches/predictor (no timing). */
-    virtual void warm(std::span<const isa::MicroOp> trace) = 0;
+    void warm(std::span<const isa::MicroOp> trace) { core_.warm(trace); }
 
-    /**
-     * Timing simulation of @p trace.  @p observer is the profiling
-     * counter sink; backends whose PerfModel::supportsObservers() is
-     * false ignore it.
-     */
-    virtual uarch::SimResult
+    /** Timing simulation of @p trace; @p observer is the profiling
+     *  counter sink. */
+    uarch::SimResult
     run(std::span<const isa::MicroOp> trace,
-        uarch::SimObserver *observer = nullptr) = 0;
+        uarch::SimObserver *observer = nullptr)
+    {
+        return core_.run(trace, observer);
+    }
 
     /** The derived configuration this session was built from. */
-    virtual const uarch::CoreConfig &config() const = 0;
+    const uarch::CoreConfig &config() const { return core_.config(); }
 
     /** Full power/performance metrics of a run() result, derived
      *  from its event counts. */
@@ -76,56 +75,47 @@ class CoreSession
     {
         return power::computeMetrics(config(), result.events);
     }
+
+  private:
+    uarch::Core core_;
 };
 
-/** Abstract performance-model backend (stateless; sessions carry
- *  all mutable state, so one instance serves all threads
+/** The cycle-level timing model (stateless; sessions carry all
+ *  mutable state, so one instance serves all threads
  *  concurrently). */
 class PerfModel
 {
   public:
-    virtual ~PerfModel() = default;
+    /** Tag of every record this model writes.  0 since the first
+     *  store: every record in the committed data/ store carries it. */
+    static constexpr std::uint64_t kCacheTag = 0;
 
-    /** Backend name: "cycle" or "interval". */
-    virtual const char *name() const = 0;
+    const char *name() const { return "cycle"; }
 
-    /**
-     * Stable tag mixed into eval-cache keys and persisted in .evc
-     * records so the two backends' results never collide.
-     * Tag 0 is reserved for the cycle-level reference model (every
-     * record in the committed data/ store carries it).
-     */
-    virtual std::uint64_t cacheTag() const = 0;
-
-    /** Whether run() drives SimObserver callbacks (per-cycle
-     *  samples, cache/branch probes) — required for profiling. */
-    virtual bool supportsObservers() const = 0;
+    /** Mixed into eval-cache keys and persisted in .evc records. */
+    std::uint64_t cacheTag() const { return kCacheTag; }
 
     /** Create a fresh core session for @p cfg. */
-    virtual std::unique_ptr<CoreSession>
+    std::unique_ptr<CoreSession>
     makeSession(const uarch::CoreConfig &cfg,
-                workload::WrongPathGenerator &wrong_path) const = 0;
+                workload::WrongPathGenerator &wrong_path) const
+    {
+        return std::make_unique<CoreSession>(cfg, wrong_path);
+    }
 
-    /**
-     * Create a fresh multi-core session for @p cfg (one wrong-path
-     * source per core).  The default is the backend-agnostic proxy
-     * session (sim/chip_session.hh), which measures interference
-     * functionally and folds it into per-core effective memory
-     * latency; the cycle backend overrides this with the detailed
-     * uarch::Chip.  A one-core chip delegates to makeSession() and
-     * stays bit-identical to the single-core seam.
-     */
-    virtual std::unique_ptr<ChipSession>
+    /** Create a fresh multi-core session for @p cfg (one wrong-path
+     *  source per core); see sim/chip_session.hh. */
+    std::unique_ptr<ChipSession>
     makeChipSession(const uarch::ChipConfig &cfg,
                     const std::vector<workload::WrongPathGenerator *>
                         &wrong_paths) const;
 
     /**
-     * Instrumented timing run: bumps the "backend/<name>/evals"
+     * Instrumented timing run: bumps the "backend/cycle/evals"
      * counter and records the wall time into the
-     * "sim/run/<name>.seconds" span histogram, then delegates to
-     * @p session.  All seam call sites use this rather than calling
-     * the session directly so per-backend telemetry is complete.
+     * "sim/run/cycle.seconds" span histogram, then delegates to
+     * @p session.  All call sites use this rather than calling the
+     * session directly so the run telemetry is complete.
      */
     uarch::SimResult run(CoreSession &session,
                          std::span<const isa::MicroOp> trace,
@@ -133,8 +123,7 @@ class PerfModel
 
     /**
      * One-shot convenience: session + optional warm + instrumented
-     * run + power metrics (the `run(trace, config) -> EvalMetrics`
-     * shape of the seam).  @p warm_trace may be empty.
+     * run + power metrics.  @p warm_trace may be empty.
      */
     power::Metrics
     evaluate(const space::Configuration &config,
@@ -143,12 +132,9 @@ class PerfModel
              std::span<const isa::MicroOp> detail_trace) const;
 };
 
-/** Backend by name ("cycle" or "interval"); fatal on any other
- *  name, since ADAPTSIM_BACKEND is outside input. */
+/** The model by name: "cycle" is the only one, and any other name
+ *  is fatal. */
 const PerfModel &perfModel(const std::string &name);
-
-/** The ADAPTSIM_BACKEND-selected default backend. */
-const PerfModel &defaultPerfModel();
 
 } // namespace adaptsim::sim
 

@@ -165,17 +165,6 @@ TEST(Env, CycleTrace)
     unsetenv("ADAPTSIM_CYCLE_TRACE");
 }
 
-TEST(Env, BackendNameDefaultAndOverride)
-{
-    unsetenv("ADAPTSIM_BACKEND");
-    EXPECT_EQ(backendName(), "cycle");
-    setenv("ADAPTSIM_BACKEND", "interval", 1);
-    EXPECT_EQ(backendName(), "interval");
-    setenv("ADAPTSIM_BACKEND", "", 1);
-    EXPECT_EQ(backendName(), "cycle");
-    unsetenv("ADAPTSIM_BACKEND");
-}
-
 TEST(Env, GatherMemoOnOffSwitch)
 {
     unsetenv("ADAPTSIM_GATHER_MEMO");

@@ -2,16 +2,18 @@
  * @file
  * Full-stack experiment tests: a miniature suite → phases → gather →
  * baseline → LOOCV run in a temporary cache directory, and the
- * paper's Fig. 4 headline reproduced from a copy of the committed
- * data/ store.
+ * paper's Fig. 4, 5 and 6 headlines reproduced from a copy of the
+ * committed data/ store.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <vector>
 
 #include "common/stats.hh"
+#include "harness/baselines.hh"
 #include "harness/experiment.hh"
 
 using namespace adaptsim;
@@ -98,12 +100,15 @@ TEST(Experiment, EndToEndTinyScale)
 
 TEST(CommittedData, Fig4HeadlineIsFrozen)
 {
-    // The paper's headline result: Fig. 4's average efficiency of the
-    // LOOCV model over the best static configuration, regenerated
-    // from the committed store at full scale.  It must need no
-    // simulation and reproduce the frozen geomeans; a change to the
-    // simulator, gather, trainer or store that moves either figure
-    // fails here.  Work on a copy so no test can touch tracked files.
+    // The paper's headline results, regenerated from the committed
+    // store at full scale: Fig. 4's average efficiency of the LOOCV
+    // model over the best static configuration, Fig. 6's reference
+    // points (per-program specialised static, per-phase best
+    // dynamic) and Fig. 5's performance and energy split.  They must
+    // need no simulation and reproduce the frozen geomeans; a change
+    // to the simulator, gather, trainer or store that moves any of
+    // them fails here.  Work on a copy so no test can touch tracked
+    // files.
     namespace fs = std::filesystem;
     const std::string dir = "/tmp/adaptsim_fig4_frozen_test";
     fs::remove_all(dir);
@@ -117,15 +122,54 @@ TEST(CommittedData, Fig4HeadlineIsFrozen)
     const auto &basic = exp.modelResults(counters::FeatureSet::Basic);
     const auto &advanced =
         exp.modelResults(counters::FeatureSet::Advanced);
-    std::vector<double> basic_rel, advanced_rel;
+    auto &repo = exp.repository();
+    std::vector<double> basic_rel, advanced_rel, spec_rel, dyn_rel;
+    std::vector<double> perf_rel, energy_rel;
     for (const auto &[program, idxs] : exp.phasesByProgram()) {
         basic_rel.push_back(exp.relativeEfficiency(
             idxs, [&](std::size_t i) { return basic[i].efficiency; }));
         advanced_rel.push_back(exp.relativeEfficiency(
             idxs,
             [&](std::size_t i) { return advanced[i].efficiency; }));
+
+        // Fig. 6, as bench/fig6_vs_ideal.cc computes it.
+        std::vector<GatheredPhase> program_phases;
+        for (std::size_t i : idxs)
+            program_phases.push_back(exp.phases()[i]);
+        const auto spec_cfg =
+            bestStaticForProgram(program_phases, exp.sharedPool());
+        spec_rel.push_back(exp.relativeEfficiency(
+            idxs, [&](std::size_t i) {
+                return efficiencyOn(exp.phases()[i], spec_cfg);
+            }));
+        dyn_rel.push_back(exp.relativeEfficiency(
+            idxs, [&](std::size_t i) {
+                return bestDynamic(exp.phases()[i]).efficiency;
+            }));
+
+        // Fig. 5, as bench/fig5_perf_energy_breakdown.cc computes it.
+        double log_perf = 0.0, log_energy = 0.0, wsum = 0.0;
+        for (std::size_t i : idxs) {
+            const auto &phase = exp.phases()[i];
+            const auto base =
+                repo.evaluate(phase.spec, exp.baselineConfig());
+            const auto pred =
+                repo.evaluate(phase.spec, advanced[i].config);
+            const double base_ips = base.instructions / base.seconds;
+            const double pred_ips = pred.instructions / pred.seconds;
+            if (base_ips <= 0 || pred_ips <= 0 || base.joules <= 0 ||
+                pred.joules <= 0)
+                continue;
+            const double w =
+                phase.phase.weight > 0 ? phase.phase.weight : 1.0;
+            log_perf += w * std::log(pred_ips / base_ips);
+            log_energy += w * std::log(pred.joules / base.joules);
+            wsum += w;
+        }
+        perf_rel.push_back(std::exp(log_perf / wsum));
+        energy_rel.push_back(std::exp(log_energy / wsum));
     }
-    EXPECT_EQ(exp.repository().simulationsRun(), 0u);
+    EXPECT_EQ(repo.simulationsRun(), 0u);
 
     // Frozen from the reference build: 1.34x advanced, 1.27x basic.
     const double frozen_advanced = 1.341331339388016;
@@ -133,6 +177,18 @@ TEST(CommittedData, Fig4HeadlineIsFrozen)
     EXPECT_NEAR(geomean(advanced_rel), frozen_advanced,
                 1e-9 * frozen_advanced);
     EXPECT_NEAR(geomean(basic_rel), frozen_basic, 1e-9 * frozen_basic);
+
+    // Fig. 6 (model = Fig. 4's advanced figure, 82% of the best
+    // dynamic in log space) and Fig. 5, frozen the same way.
+    const double frozen_spec = 1.0361361422719602;
+    const double frozen_dyn = 1.43162228447601;
+    EXPECT_NEAR(geomean(spec_rel), frozen_spec, 1e-9 * frozen_spec);
+    EXPECT_NEAR(geomean(dyn_rel), frozen_dyn, 1e-9 * frozen_dyn);
+    const double frozen_perf = 1.1392729356956397;
+    const double frozen_energy = 0.96765264770489012;
+    EXPECT_NEAR(geomean(perf_rel), frozen_perf, 1e-9 * frozen_perf);
+    EXPECT_NEAR(geomean(energy_rel), frozen_energy,
+                1e-9 * frozen_energy);
 
     fs::remove_all(dir);
 }

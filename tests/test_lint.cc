@@ -57,8 +57,8 @@ TEST(Lint, DeterminismBansEntropyInCore)
         1u);
     EXPECT_EQ(lint("src/uarch/x.cc", "srand(42);\n").size(), 1u);
 
-    // The performance-model backends (src/sim) replay traces through
-    // the simulation core, so they sit inside the same scope.
+    // The timing model (src/sim) drives the simulation core, so it
+    // sits inside the same scope.
     const auto s =
         lint("src/sim/x.cc", "std::mt19937 g(seed);\n");
     ASSERT_EQ(s.size(), 1u);

@@ -19,7 +19,6 @@
 #include "counters/feature_vector.hh"
 #include "harness/gather.hh"
 #include "harness/repository.hh"
-#include "sim/cycle_level_model.hh"
 #include "sim/perf_model.hh"
 #include "space/sampling.hh"
 #include "workload/spec_suite.hh"
@@ -65,6 +64,18 @@ bool
 bitIdentical(const EvalRecord &a, const EvalRecord &b)
 {
     return std::memcmp(&a, &b, sizeof(EvalRecord)) == 0;
+}
+
+bool
+bitIdentical(const ProfileRecord &a, const ProfileRecord &b)
+{
+    const auto same = [](const std::vector<double> &x,
+                         const std::vector<double> &y) {
+        return x.size() == y.size() &&
+               std::memcmp(x.data(), y.data(),
+                           x.size() * sizeof(double)) == 0;
+    };
+    return same(a.basic, b.basic) && same(a.advanced, b.advanced);
 }
 
 } // namespace
@@ -264,38 +275,41 @@ TEST_F(RepositoryTest, DamagedRecordsAreNeverServed)
 
 TEST_F(RepositoryTest, ForeignTagRecordsLoadButNeverAnswer)
 {
-    // A store may hold records under a tag no current backend owns
-    // (a retired backend's).  They must load intact and stay
-    // harvestable, but a query is answered only by a record under
-    // the asking backend's own tag.
-    EvalRecord fresh;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 0);
-        fresh = repo.evaluate(spec(), paperBaselineConfig(),
-                              &sim::perfModel("cycle"));
-    }
-    constexpr std::uint64_t kForeignTag = 0x4c4541524e4d444cULL;
-    std::string bytes = readFile(binPath());
-    ASSERT_EQ(bytes.size(), 24u + 88u);
-    std::string tag;
-    putU64(tag, kForeignTag);
-    bytes.replace(24 + 8, 8, tag);
-    std::string sum;
-    putU64(sum, fnv1a64(bytes.data() + 24, 80));
-    bytes.replace(24 + 80, 8, sum);
-    ASSERT_TRUE(atomicWriteFile(binPath(), bytes));
+    // A store may hold records under a tag the timing model does not
+    // own: the retired learned and interval models' tags.  They must
+    // load intact and stay harvestable, but a query is answered only
+    // by a record under the model's own tag.
+    for (const std::uint64_t foreign_tag :
+         {0x4c4541524e4d444cULL, 0x494e5456414c5953ULL}) {
+        std::filesystem::remove_all(dir_);
+        EvalRecord fresh;
+        {
+            EvalRepository repo(workload::specSuite(60000), dir_, 0);
+            fresh = repo.evaluate(spec(), paperBaselineConfig(),
+                                  &sim::perfModel("cycle"));
+        }
+        std::string bytes = readFile(binPath());
+        ASSERT_EQ(bytes.size(), 24u + 88u);
+        std::string tag;
+        putU64(tag, foreign_tag);
+        bytes.replace(24 + 8, 8, tag);
+        std::string sum;
+        putU64(sum, fnv1a64(bytes.data() + 24, 80));
+        bytes.replace(24 + 80, 8, sum);
+        ASSERT_TRUE(atomicWriteFile(binPath(), bytes));
 
-    EvalRepository repo(workload::specSuite(60000), dir_, 0);
-    EXPECT_TRUE(bitIdentical(
-        repo.evaluate(spec(), paperBaselineConfig(),
-                      &sim::perfModel("cycle")),
-        fresh));
-    EXPECT_EQ(repo.simulationsRun(), 1u);
-    EXPECT_EQ(repo.cacheHits(), 0u);
-    const auto s = repo.stats();
-    EXPECT_EQ(s.loaded, 1u);
-    EXPECT_EQ(s.dropped, 0u);
-    EXPECT_EQ(repo.records(spec(), kForeignTag).size(), 1u);
+        EvalRepository repo(workload::specSuite(60000), dir_, 0);
+        EXPECT_TRUE(bitIdentical(
+            repo.evaluate(spec(), paperBaselineConfig(),
+                          &sim::perfModel("cycle")),
+            fresh));
+        EXPECT_EQ(repo.simulationsRun(), 1u);
+        EXPECT_EQ(repo.cacheHits(), 0u);
+        const auto s = repo.stats();
+        EXPECT_EQ(s.loaded, 1u);
+        EXPECT_EQ(s.dropped, 0u);
+        EXPECT_EQ(repo.records(spec(), foreign_tag).size(), 1u);
+    }
 }
 
 TEST_F(RepositoryTest, FlushEveryIsAccountedPerPhase)
@@ -457,6 +471,39 @@ TEST_F(RepositoryTest, TruncatedProfileIsReSimulated)
     EXPECT_EQ(repo2.simulationsRun(), 0u);
 }
 
+TEST_F(RepositoryTest, TornProfileIsNeverServed)
+{
+    // Fuzz the .features decoder with every torn write of a real
+    // profile file: no strict prefix may be served — not even one
+    // that keeps every token and loses only the final line end —
+    // and the re-simulated profile answers bit-identically.
+    const std::vector<workload::Workload> suite{
+        workload::specBenchmark("gzip", 60000)};
+    const PhaseSpec small{"gzip", 60000, 20000, 0, 200};
+    ProfileRecord good;
+    {
+        EvalRepository repo(suite, dir_, 1);
+        good = repo.profile(small);
+    }
+    const std::string path = dir_ + "/" + small.key() + ".features";
+    const std::string bytes = readFile(path);
+    ASSERT_FALSE(bytes.empty());
+    test::forEachTruncation(bytes, [&](const std::string &prefix) {
+        ASSERT_TRUE(atomicWriteFile(path, prefix));
+        EvalRepository repo(suite, dir_, 1);
+        EXPECT_TRUE(bitIdentical(repo.profile(small), good))
+            << "truncated to " << prefix.size();
+        EXPECT_EQ(repo.simulationsRun(), 1u)
+            << "truncated to " << prefix.size();
+    });
+
+    // The whole file, as the re-simulation rewrote it, is served.
+    EXPECT_EQ(readFile(path), bytes);
+    EvalRepository repo(suite, dir_, 1);
+    EXPECT_TRUE(bitIdentical(repo.profile(small), good));
+    EXPECT_EQ(repo.simulationsRun(), 0u);
+}
+
 TEST_F(RepositoryTest, UnknownWorkloadIsFatal)
 {
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
@@ -523,136 +570,6 @@ TEST_F(RepositoryTest, ChipMixRecordsNeverAnswerSoloLookups)
     EXPECT_EQ(repo.cacheHits(), 2u);
 }
 
-TEST_F(RepositoryTest, BackendsNeverShareCacheEntries)
-{
-    // The same (phase, configuration) under different backends must
-    // be two distinct cache entries, in memory and on disk.
-    const auto &cycle = sim::perfModel("cycle");
-    const auto &interval = sim::perfModel("interval");
-    EvalRecord by_cycle, by_interval;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 0);
-        by_cycle =
-            repo.evaluate(spec(), paperBaselineConfig(), &cycle);
-        by_interval =
-            repo.evaluate(spec(), paperBaselineConfig(), &interval);
-        EXPECT_EQ(repo.simulationsRun(), 2u);
-        EXPECT_EQ(repo.cacheHits(), 0u);
-        EXPECT_NE(by_cycle.cycles, by_interval.cycles);
-
-        const auto s = repo.stats();
-        ASSERT_EQ(s.backendEvals.size(), 2u);
-        EXPECT_EQ(s.backendEvals[0].first, "cycle");
-        EXPECT_EQ(s.backendEvals[0].second, 1u);
-        EXPECT_EQ(s.backendEvals[1].first, "interval");
-        EXPECT_EQ(s.backendEvals[1].second, 1u);
-        EXPECT_NE(repo.statsSummary().find("backends"),
-                  std::string::npos);
-        repo.flush();
-    }
-
-    // Both records round-trip from disk to the right backend.
-    EvalRepository repo2(workload::specSuite(60000), dir_, 0);
-    const auto cycle_again =
-        repo2.evaluate(spec(), paperBaselineConfig(), &cycle);
-    const auto interval_again =
-        repo2.evaluate(spec(), paperBaselineConfig(), &interval);
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_EQ(repo2.cacheHits(), 2u);
-    EXPECT_TRUE(bitIdentical(cycle_again, by_cycle));
-    EXPECT_TRUE(bitIdentical(interval_again, by_interval));
-
-    // A default-backend evaluate hits the cycle-tagged entry.
-    const auto default_again =
-        repo2.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_TRUE(bitIdentical(default_again, by_cycle));
-}
-
-TEST_F(RepositoryTest, ObserverlessBackendProfileFallsBack)
-{
-    // Profiling needs per-cycle observer callbacks; the interval
-    // backend has none, so profile() transparently uses the
-    // cycle-level model and produces identical features.
-    ProfileRecord via_cycle;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 0);
-        via_cycle = repo.profile(spec());
-    }
-    std::filesystem::remove_all(dir_);
-
-    EvalRepository repo(workload::specSuite(60000), dir_, 0);
-    const auto via_interval =
-        repo.profile(spec(), &sim::perfModel("interval"));
-    ASSERT_EQ(via_interval.advanced.size(),
-              via_cycle.advanced.size());
-    for (std::size_t i = 0; i < via_cycle.advanced.size(); ++i)
-        EXPECT_EQ(via_interval.advanced[i], via_cycle.advanced[i]);
-}
-
-TEST_F(RepositoryTest, ProfileFallbackWarnsOncePerBackend)
-{
-    // Regression: the fallback used to warn on every profiling call,
-    // flooding stderr in batch gathers.  One warning per backend per
-    // repository, and the features must be unaffected.
-    EvalRepository repo(workload::specSuite(60000), dir_, 0);
-    ::testing::internal::CaptureStderr();
-    const auto a = repo.profile(spec(), &sim::perfModel("interval"));
-    const std::string first = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(first.find("cannot drive profiling counters"),
-              std::string::npos);
-
-    ::testing::internal::CaptureStderr();
-    const auto b = repo.profile(spec(), &sim::perfModel("interval"));
-    auto other = spec();
-    other.startInst = 30000;
-    (void)repo.profile(other, &sim::perfModel("interval"));
-    const std::string rest = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(rest.find("cannot drive profiling counters"),
-              std::string::npos)
-        << rest;
-    EXPECT_EQ(a.advanced, b.advanced);
-}
-
-TEST_F(RepositoryTest, BackendTagsNeverCollide)
-{
-    // cycle and interval evaluations of the same point are two
-    // distinct entries; per-backend counts sum to the total
-    // simulation count and each survives a disk round trip.
-    const auto &cycle = sim::perfModel("cycle");
-    const auto &interval = sim::perfModel("interval");
-
-    EvalRecord by_cycle, by_interval;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 0);
-        by_cycle =
-            repo.evaluate(spec(), paperBaselineConfig(), &cycle);
-        by_interval =
-            repo.evaluate(spec(), paperBaselineConfig(), &interval);
-        EXPECT_EQ(repo.simulationsRun(), 2u);
-        EXPECT_EQ(repo.cacheHits(), 0u);
-
-        const auto s = repo.stats();
-        std::uint64_t by_backend = 0;
-        for (const auto &[name, count] : s.backendEvals)
-            by_backend += count;
-        EXPECT_EQ(by_backend, repo.simulationsRun());
-        EXPECT_NE(repo.statsSummary().find("interval"),
-                  std::string::npos);
-        repo.flush();
-    }
-
-    EvalRepository repo2(workload::specSuite(60000), dir_, 0);
-    EXPECT_TRUE(bitIdentical(
-        repo2.evaluate(spec(), paperBaselineConfig(), &cycle),
-        by_cycle));
-    EXPECT_TRUE(bitIdentical(
-        repo2.evaluate(spec(), paperBaselineConfig(), &interval),
-        by_interval));
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_EQ(repo2.cacheHits(), 2u);
-}
-
 TEST_F(RepositoryTest, RecordsHarvestIsFilteredAndSorted)
 {
     EvalRepository repo(workload::specSuite(60000), dir_, 2);
@@ -660,11 +577,9 @@ TEST_F(RepositoryTest, RecordsHarvestIsFilteredAndSorted)
     const auto configs = space::uniformRandomSet(rng, 5);
     (void)repo.evaluateBatch(spec(), configs,
                              &sim::perfModel("cycle"));
-    (void)repo.evaluate(spec(), configs[0],
-                        &sim::perfModel("interval"));
 
     const auto harvest = repo.records(spec(), 0);
-    ASSERT_EQ(harvest.size(), configs.size());   // interval filtered
+    ASSERT_EQ(harvest.size(), configs.size());
     for (std::size_t i = 1; i < harvest.size(); ++i)
         EXPECT_LT(harvest[i - 1].first, harvest[i].first);
     for (const auto &[code, record] : harvest)
@@ -685,20 +600,16 @@ TEST_F(RepositoryTest, RecordsHarvestIsFilteredAndSorted)
 TEST_F(RepositoryTest, ZeroLengthDetailWindowYieldsFiniteRecord)
 {
     // Regression: a zero-instruction detail window (degenerate phase
-    // boundary) must produce a well-defined all-finite record on
-    // every backend, not NaNs from 0/0.
+    // boundary) must produce a well-defined all-finite record, not
+    // NaNs from 0/0.
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     PhaseSpec empty_spec{"gzip", 60000, 20000, 2000, 0};
-    for (const char *name : {"cycle", "interval"}) {
-        const auto r = repo.evaluate(empty_spec, paperBaselineConfig(),
-                                     &sim::perfModel(name));
-        EXPECT_EQ(r.instructions, 0.0) << name;
-        for (const double v :
-             {r.cycles, r.seconds, r.joules, r.ipc, r.watts,
-              r.efficiency}) {
-            EXPECT_TRUE(std::isfinite(v)) << name;
-            EXPECT_GE(v, 0.0) << name;
-        }
+    const auto r = repo.evaluate(empty_spec, paperBaselineConfig());
+    EXPECT_EQ(r.instructions, 0.0);
+    for (const double v : {r.cycles, r.seconds, r.joules, r.ipc,
+                           r.watts, r.efficiency}) {
+        EXPECT_TRUE(std::isfinite(v));
+        EXPECT_GE(v, 0.0);
     }
 }
 
@@ -734,7 +645,7 @@ TEST(CommittedData, LoadsWholeAtTheCurrentFormat)
     std::size_t solo_cycle = 0;
     for (const auto &spec : stores)
         solo_cycle +=
-            repo.records(spec, sim::CycleLevelModel::kCacheTag).size();
+            repo.records(spec, sim::PerfModel::kCacheTag).size();
     const auto stats = repo.stats();
     EXPECT_EQ(stats.dropped, 0u);
     EXPECT_EQ(stats.loaded, 50800u);

@@ -1,11 +1,9 @@
 /**
  * @file
- * Tests of the performance-model seam (src/sim).
+ * Tests of the timing model (src/sim).
  *
- * The load-bearing guarantees: the "cycle" backend is bit-identical
- * to driving uarch::Core directly (frozen golden matrix), the
- * "interval" backend tracks cycle-level IPC within a frozen error
- * bound across the whole 26-program suite, and backend lookup is
+ * The load-bearing guarantees: a session is bit-identical to driving
+ * uarch::Core directly (frozen golden matrix), and model lookup is
  * safe under concurrent first use (exercised under TSan in tier-1).
  */
 
@@ -13,9 +11,8 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <thread>
+#include <type_traits>
 
 #include "harness/gather.hh"
 #include "sim/perf_model.hh"
@@ -49,39 +46,24 @@ TEST(Sim, RegistryHasBuiltins)
 {
     const auto &cycle = sim::perfModel("cycle");
     EXPECT_STREQ(cycle.name(), "cycle");
-    EXPECT_TRUE(cycle.supportsObservers());
-    // Tag 0 is the reference model: the committed data/ store's
-    // records are valid for exactly this backend.
+    // Tag 0: the committed data/ store's records are valid for
+    // exactly this model.
     EXPECT_EQ(cycle.cacheTag(), 0u);
-
-    const auto &interval = sim::perfModel("interval");
-    EXPECT_STREQ(interval.name(), "interval");
-    EXPECT_FALSE(interval.supportsObservers());
-    EXPECT_NE(interval.cacheTag(), cycle.cacheTag());
+    EXPECT_EQ(&sim::perfModel("cycle"), &cycle);
+    static_assert(!std::is_polymorphic_v<sim::PerfModel>);
+    static_assert(!std::is_polymorphic_v<sim::CoreSession>);
 }
 
 TEST(SimDeathTest, UnknownBackendIsFatal)
 {
-    // ADAPTSIM_BACKEND is outside input: any name but the two
-    // backends exits, naming both.  Threadsafe style because this
-    // binary also runs under TSan.
+    // Any name but "cycle" exits, retired model names included.
+    // Threadsafe style because this binary also runs under TSan.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    for (const char *name : {"learned", "nope"}) {
+    for (const char *name : {"interval", "learned", "nope"}) {
         EXPECT_EXIT((void)sim::perfModel(name),
-                    ::testing::ExitedWithCode(1),
-                    "known: cycle, interval")
+                    ::testing::ExitedWithCode(1), "known: cycle\\)")
             << name;
     }
-}
-
-TEST(Sim, DefaultBackendFollowsEnv)
-{
-    unsetenv("ADAPTSIM_BACKEND");
-    EXPECT_STREQ(sim::defaultPerfModel().name(), "cycle");
-    setenv("ADAPTSIM_BACKEND", "interval", 1);
-    EXPECT_STREQ(sim::defaultPerfModel().name(), "interval");
-    unsetenv("ADAPTSIM_BACKEND");
-    EXPECT_STREQ(sim::defaultPerfModel().name(), "cycle");
 }
 
 TEST(Sim, CycleBackendBitIdenticalToDirectCore)
@@ -159,68 +141,6 @@ TEST(Sim, CycleBackendMatchesDirectCoreEventForEvent)
     EXPECT_EQ(seam.events.occRobSum, direct.events.occRobSum);
 }
 
-TEST(Sim, IntervalDeterministicAndCommitsTrace)
-{
-    const auto &model = sim::perfModel("interval");
-    const auto cfg = harness::paperBaselineConfig();
-    const auto a = runBackend(model, "gcc", cfg);
-    const auto b = runBackend(model, "gcc", cfg);
-    EXPECT_EQ(a.events.committedOps, 4000u);
-    EXPECT_GT(a.cycles, 0u);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.events.mispredicts, b.events.mispredicts);
-    EXPECT_EQ(a.events.dcMisses, b.events.dcMisses);
-}
-
-TEST(Sim, IntervalIpcWithinPhysicalBounds)
-{
-    const auto &model = sim::perfModel("interval");
-    auto cfg = harness::paperBaselineConfig();
-    for (const char *bench : {"eon", "mcf", "swim", "crafty"}) {
-        const auto r = runBackend(model, bench, cfg);
-        EXPECT_GT(r.events.ipc(), 0.0) << bench;
-        EXPECT_LE(r.events.ipc(), 4.0) << bench;
-    }
-    cfg.setValue(space::Param::Width, 2);
-    EXPECT_LE(runBackend(model, "sixtrack", cfg).events.ipc(), 2.0);
-}
-
-TEST(Sim, IntervalAccuracyBoundedOnSuite)
-{
-    // The fidelity contract: across the full 26-program suite on the
-    // paper baseline, interval-analysis IPC stays close to the
-    // cycle-level reference.  The bounds are frozen from the
-    // reference build; loosening them is a fidelity regression.
-    const auto &cycle = sim::perfModel("cycle");
-    const auto &interval = sim::perfModel("interval");
-    const auto cfg = harness::paperBaselineConfig();
-
-    double abs_err_sum = 0.0;
-    double worst = 0.0;
-    std::string worst_bench;
-    const auto &names = workload::specNames();
-    for (const auto &bench : names) {
-        const double ref =
-            runBackend(cycle, bench, cfg).events.ipc();
-        const double est =
-            runBackend(interval, bench, cfg).events.ipc();
-        const double err = std::abs(est - ref);
-        abs_err_sum += err;
-        if (err > worst) {
-            worst = err;
-            worst_bench = bench;
-        }
-    }
-    const double mae = abs_err_sum / double(names.size());
-    std::printf("interval backend: IPC MAE %.4f, worst %.4f (%s)\n",
-                mae, worst, worst_bench.c_str());
-
-    // Frozen accuracy bounds (reference build measured MAE 0.041,
-    // worst 0.124 on apsi/applu; see DESIGN.md §11).
-    EXPECT_LT(mae, 0.06);
-    EXPECT_LT(worst, 0.18);
-}
-
 TEST(Sim, EvaluateConvenienceMatchesManualPipeline)
 {
     const auto wl = workload::specBenchmark("mcf", programLength);
@@ -253,33 +173,32 @@ TEST(Sim, EmptyTraceYieldsEmptyResult)
     const auto wl = workload::specBenchmark("gcc", programLength);
     const auto cc = uarch::CoreConfig::fromConfiguration(
         harness::paperBaselineConfig());
-    for (const char *name : {"interval", "cycle"}) {
-        const auto &model = sim::perfModel(name);
-        workload::WrongPathGenerator wp(wl.averageParams(),
-                                        wl.seed() ^ 0x57a71cULL);
-        const auto session = model.makeSession(cc, wp);
-        session->warm(wl.generate(32000, 8000));
-        const auto r = model.run(*session, {});
-        EXPECT_EQ(r.cycles, 0u) << name;
-        EXPECT_EQ(r.events.committedOps, 0u) << name;
-        const auto m = session->metricsFor(r);
-        EXPECT_EQ(m.instructions, 0.0) << name;
-        EXPECT_TRUE(std::isfinite(m.joules)) << name;
-    }
+    const auto &model = sim::perfModel("cycle");
+    workload::WrongPathGenerator wp(wl.averageParams(),
+                                    wl.seed() ^ 0x57a71cULL);
+    const auto session = model.makeSession(cc, wp);
+    session->warm(wl.generate(32000, 8000));
+    const auto r = model.run(*session, {});
+    EXPECT_EQ(r.cycles, 0u);
+    EXPECT_EQ(r.events.committedOps, 0u);
+    const auto m = session->metricsFor(r);
+    EXPECT_EQ(m.instructions, 0.0);
+    EXPECT_TRUE(std::isfinite(m.joules));
 }
 
 TEST(Sim, RegistryConcurrentLookupIsSafe)
 {
-    // First use of the backends races with lookups from worker
-    // threads in real benches; tier-1 runs this under TSan.
+    // First use of the model races with lookups from worker threads
+    // in real benches; tier-1 runs this under TSan.
     std::vector<std::thread> threads;
+    std::vector<const sim::PerfModel *> seen(8, nullptr);
     std::atomic<int> ok{0};
     for (int t = 0; t < 8; ++t) {
-        threads.emplace_back([&ok]() {
+        threads.emplace_back([&ok, &seen, t]() {
             for (int i = 0; i < 200; ++i) {
                 const auto &cycle = sim::perfModel("cycle");
-                const auto &interval = sim::perfModel("interval");
-                if (cycle.cacheTag() != interval.cacheTag())
+                seen[t] = &cycle;
+                if (cycle.cacheTag() == 0)
                     ok.fetch_add(1, std::memory_order_relaxed);
             }
         });
@@ -287,4 +206,6 @@ TEST(Sim, RegistryConcurrentLookupIsSafe)
     for (auto &th : threads)
         th.join();
     EXPECT_EQ(ok.load(), 8 * 200);
+    for (const auto *model : seen)
+        EXPECT_EQ(model, &sim::perfModel("cycle"));
 }
